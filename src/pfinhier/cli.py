@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
+from . import __version__
 from .errors import DomainError, FloorError, InputError
 from .hierarchy import Classification, Hierarchy
 from .minimal_sets import prune_dominated
@@ -35,52 +35,6 @@ from .trees import (
     rational_labeling,
     validate_labeling,
 )
-
-__version__ = "0.1.0"
-
-CACHE_ENV = "PFINHIER_CACHE_DIR"
-_CACHE_FILE = "classify.json"
-
-
-def _load_cache(hier: Hierarchy) -> None:
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return
-    path = os.path.join(cache_dir, _CACHE_FILE)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        floor = parse_rational(f"1/{hier.floor_level + 1}")
-        for key, value in payload.get("entries", {}).items():
-            x = parse_rational(key)
-            if x >= floor:
-                hier._classify_memo[x] = Classification(value)
-    except (OSError, ValueError, KeyError):
-        # corrupt or missing cache entries are recomputed, never trusted
-        pass
-
-
-def _save_cache(hier: Hierarchy) -> None:
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return
-    path = os.path.join(cache_dir, _CACHE_FILE)
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        entries = {}
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entries = json.load(fh).get("entries", {})
-        except (OSError, ValueError):
-            entries = {}
-        for x, cls in hier._classify_memo.items():
-            entries[format_rational(x)] = cls.value
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"entries": entries}, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        pass
 
 
 def _read_file(path: str) -> str:
@@ -359,7 +313,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _load_cache(hier)
     try:
         code = args.func(hier, args)
     except FloorError as exc:
@@ -371,7 +324,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _save_cache(hier)
     return code
 
 

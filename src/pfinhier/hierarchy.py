@@ -14,8 +14,9 @@ chain of members is finite, and limit members are approached from above
 by computable strictly decreasing sequences.
 
 All queries live on a Hierarchy object, which memoizes classifications,
-segments, predecessors, and minimal sets. Queries below the configured
-floor level raise FloorError instead of recursing without bound.
+segments, predecessors, brackets, neighbors and minimal sets per instance.
+Queries below the configured floor level raise FloorError instead of
+recursing without bound.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from enum import Enum
 
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
+from .memo import memoized
 from .rationals import ExactRational, HALF, ONE, ZERO
 from .rules import apply_rule, h_inverse, h_map, is_valid_application
 
@@ -99,15 +101,7 @@ class Hierarchy:
         if floor_level < 1:
             raise InputError(f"floor level must be at least 1: {floor_level}")
         self.floor_level = floor_level
-        self.xd_memo: dict = {}
-        self._classify_memo: dict = {}
-        self._segment_memo: dict = {}
-        self._pred_memo: dict = {}
-        self._below_memo: dict = {}
-        self._bracket_memo: dict = {}
-        self.ctx_memo: dict = {}
-        self.team_memo: dict = {}
-        self.alloc_memo: dict = {}
+        self._floor = ExactRational(1, floor_level + 1)
 
     # ---- guards ----
 
@@ -116,24 +110,16 @@ class Hierarchy:
             raise InputError(f"expected an exact rational, got {type(x).__name__}")
         if not (ZERO < x <= ONE):
             raise InputError(f"probability out of (0, 1]: {x}")
-        if x < ExactRational(1, self.floor_level + 1):
+        if x < self._floor:
             raise FloorError(
-                f"{x} lies below the constructed floor 1/{self.floor_level + 1};"
+                f"{x} lies below the constructed floor {self._floor};"
                 " raise the floor level to query it"
             )
 
     # ---- classification ----
 
+    @memoized(_check)
     def classify(self, x: ExactRational) -> Classification:
-        self._check(x)
-        cached = self._classify_memo.get(x)
-        if cached is not None:
-            return cached
-        result = self._classify_inner(x)
-        self._classify_memo[x] = result
-        return result
-
-    def _classify_inner(self, x: ExactRational) -> Classification:
         if x >= HALF:
             if x == ONE:
                 return Classification.MAXIMAL
@@ -162,13 +148,10 @@ class Hierarchy:
 
     # ---- segments ----
 
+    @memoized(_check)
     def segment_of(self, x: ExactRational) -> Segment:
-        self._check(x)
         if x >= HALF:
             raise DomainError(f"segments exist below 1/2 only, got {x}")
-        cached = self._segment_memo.get(x)
-        if cached is not None:
-            return cached
         t = h_inverse(x)
         if self.classify(t) is not Classification.NOT_MEMBER:
             raise DomainError(f"{x} is the image of a member; it bounds segments")
@@ -182,9 +165,7 @@ class Hierarchy:
         while True:
             r_lo = apply_rule((p, r_hi))
             if r_lo <= x:
-                seg = Segment(level, a_low, a_high, index, r_lo, r_hi)
-                self._segment_memo[x] = seg
-                return seg
+                return Segment(level, a_low, a_high, index, r_lo, r_hi)
             index += 1
             r_hi = r_lo
 
@@ -202,11 +183,8 @@ class Hierarchy:
 
     # ---- predecessor ----
 
+    @memoized(_check)
     def predecessor(self, x: ExactRational) -> ExactRational:
-        self._check(x)
-        cached = self._pred_memo.get(x)
-        if cached is not None:
-            return cached
         cls = self.classify(x)
         if cls is not Classification.SUCCESSOR:
             kind = {
@@ -217,9 +195,7 @@ class Hierarchy:
             raise DomainError(f"no predecessor: {x} is {kind}")
         if x > HALF:
             n = x.numerator
-            result = ExactRational(n - 1, 2 * (n - 1) - 1)
-            self._pred_memo[x] = result
-            return result
+            return ExactRational(n - 1, 2 * (n - 1) - 1)
         P = self.xd_minimal(x, x)
         candidates = set()
         for T in P.tuples:
@@ -235,7 +211,6 @@ class Hierarchy:
                     candidates.add(value)
         for value in sorted(candidates):
             if self.classify(value) is not Classification.NOT_MEMBER:
-                self._pred_memo[x] = value
                 return value
         raise ConsistencyError(f"no member candidate above successor {x}")
 
@@ -300,17 +275,9 @@ class Hierarchy:
 
     # ---- bracketing and neighbors ----
 
+    @memoized(_check)
     def bracket(self, p: ExactRational):
         """Largest member <= p and smallest member >= p."""
-        self._check(p)
-        cached = self._bracket_memo.get(p)
-        if cached is not None:
-            return cached
-        result = self._bracket_inner(p)
-        self._bracket_memo[p] = result
-        return result
-
-    def _bracket_inner(self, p: ExactRational):
         if p == ONE or p == HALF:
             return p, p
         if p > HALF:
@@ -340,22 +307,11 @@ class Hierarchy:
             else:
                 raise ConsistencyError(f"climb reached a non-member waypoint {cur}")
 
+    @memoized(_check)
     def next_below(self, u: ExactRational) -> ExactRational:
         """The member immediately below u; total on members except the floor edge."""
-        self._check(u)
-        cached = self._below_memo.get(u)
-        if cached is not None:
-            return cached
-        cls = self.classify(u)
-        if cls is Classification.NOT_MEMBER:
+        if self.classify(u) is Classification.NOT_MEMBER:
             raise DomainError(f"next_below needs a member, got {u}")
-        result = self._next_below_inner(u)
-        if not result < u:
-            raise ConsistencyError(f"next_below({u}) produced {result}")
-        self._below_memo[u] = result
-        return result
-
-    def _next_below_inner(self, u: ExactRational) -> ExactRational:
         if u == ONE:
             return ExactRational(2, 3)
         if u > HALF:
@@ -375,6 +331,8 @@ class Hierarchy:
             mid = (lo + u) / 2
             f1, f2 = self.bracket(mid)
             if f2 == u:
+                if not f1 < u:
+                    raise ConsistencyError(f"next_below({u}) produced {f1}")
                 return f1
             if not (lo < f2 < u):
                 raise ConsistencyError(f"neighbor search stalled at {f2} under {u}")

@@ -13,7 +13,8 @@ find_smallest answers "what is the next achievable contribution total
 strictly above d" for the limit-element advance.
 
 Functions take the hierarchy handle explicitly; it must provide classify,
-predecessor, bracket, next_below, and an xd_memo mapping for caching.
+predecessor, bracket and next_below. xd_minimal caches its sets on the
+handle, one cache per instance.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, InputError
+from .memo import memoized
 from .rationals import ExactRational, ONE
 from .rules import contribution
 
@@ -93,6 +95,16 @@ def find_smallest(hier, P: MinimalSet, x: ExactRational, d: ExactRational):
     return best
 
 
+def _check_budget(hier, x, d, floor) -> None:
+    if not (isinstance(x, ExactRational) and isinstance(d, ExactRational)):
+        raise InputError(
+            f"expected exact rationals, got {type(x).__name__} and {type(d).__name__}"
+        )
+    if d.numerator < 0 or d > x:
+        raise InputError(f"budget d must lie in [0, x]: d={d}, x={x}")
+
+
+@memoized(_check_budget)
 def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -> MinimalSet:
     """Compute an (x, d)-minimal set over components in [floor, 1].
 
@@ -103,13 +115,6 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
     limit y's jump to the smallest member whose contribution fits under
     d minus the next achievable total of the inner set.
     """
-    if not (0 <= d <= x):
-        raise InputError(f"budget d must lie in [0, x]: d={d}, x={x}")
-    key = (x, d, floor)
-    cached = hier.xd_memo.get(key)
-    if cached is not None:
-        return cached
-
     p0p = _p0_prime(hier, x, floor)
     delta = contribution(x, p0p)
     if delta <= 0:
@@ -149,9 +154,7 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
                     break
 
     canonical = tuple(sorted(set(collected), key=lambda T: (len(T), T)))
-    result = MinimalSet(x=x, d=d, floor=floor, delta=delta, p0_prime=p0p, tuples=canonical)
-    hier.xd_memo[key] = result
-    return result
+    return MinimalSet(x=x, d=d, floor=floor, delta=delta, p0_prime=p0p, tuples=canonical)
 
 
 def prune_dominated(tuples) -> tuple[Components, ...]:

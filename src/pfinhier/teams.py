@@ -15,6 +15,7 @@ from math import gcd, lcm
 
 from .errors import ConsistencyError, DomainError, InputError
 from .hierarchy import Classification, Hierarchy
+from .memo import memoized
 from .minimal_sets import MinimalSet, component_pool
 from .rationals import ExactRational, HALF, ONE, ZERO
 from .rules import contribution
@@ -78,13 +79,11 @@ def _funding_items(hier, x, p0, P_prime, p0_upper_pred):
     return tuple(items)
 
 
+@memoized(Hierarchy._check)
 def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
     """Assemble the simulation context for success level x.
 
     x need not be a hierarchy member; p0 rounds it up to one."""
-    cached = hier.ctx_memo.get(x)
-    if cached is not None:
-        return cached
     _, p0 = hier.bracket(x)
     floor = hier.governing_floor(x)
     P = hier.xd_minimal(x, x)
@@ -105,7 +104,7 @@ def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
                 f"{p0_upper_pred} * (1 - {p0}) < {p0}"
             )
     funding = _funding_items(hier, x, p0, P_prime, p0_upper_pred)
-    ctx = SimulationContext(
+    return SimulationContext(
         x=x,
         p0=p0,
         p0_upper=p0_upper,
@@ -115,8 +114,6 @@ def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
         funding=funding,
         hier=hier,
     )
-    hier.ctx_memo[x] = ctx
-    return ctx
 
 
 def _g_row(ctx: SimulationContext, r: ExactRational):
@@ -195,57 +192,44 @@ def _modulus(a: ExactRational, m: int) -> int:
     return target // gcd(a.numerator, target)
 
 
+def _closure_size(ctx: SimulationContext, k: int, size) -> int:
+    """lcm of k with every funding denominator and sub-team modulus of ctx.
+
+    size(q) is the team size the recursion demands at row q.
+    """
+    for _, value, _ in ctx.funding:
+        k = lcm(k, value.denominator)
+    for q in ctx.P_prime:
+        if q != ctx.x:
+            k = lcm(k, _modulus(ctx.p0 / q, size(q)))
+    if ctx.p0_upper_pred is not None:
+        k = lcm(k, _modulus(ONE - ctx.p0, size(ctx.p0_upper_pred)))
+    return k
+
+
+@memoized(Hierarchy._check)
 def team_size(hier: Hierarchy, p: ExactRational) -> int:
     """Size of the smallest uniformly sufficient team for member p."""
     if hier.classify(p) is Classification.NOT_MEMBER:
         raise DomainError(f"team size is defined for hierarchy members only: {p}")
-    cached = hier.team_memo.get(p)
-    if cached is not None:
-        return cached
     if p >= HALF:
         # n/(2n-1) needs 2n-1 members; covers 1 -> 1 and 1/2 -> 2.
-        k = p.denominator
-    else:
-        ctx = make_context(hier, p)
-        k = 1
-        for _, value, _ in ctx.funding:
-            k = lcm(k, value.denominator)
-        for q in ctx.P_prime:
-            if q == p:
-                continue
-            k = lcm(k, _modulus(ctx.p0 / q, team_size(hier, q)))
-        k = lcm(k, _modulus(ONE - ctx.p0, team_size(hier, ctx.p0_upper_pred)))
-    hier.team_memo[p] = k
-    return k
+        return p.denominator
+    return _closure_size(make_context(hier, p), 1, lambda q: team_size(hier, q))
 
 
-def _allocation_team_size(ctx: SimulationContext) -> int:
-    """Team size the allocator actually uses for ctx.
+@memoized(Hierarchy._check)
+def _allocation_team_size(hier: Hierarchy, x: ExactRational) -> int:
+    """Team size the allocator actually uses at success level x.
 
     Differs from team_size at the base constants: the allocator funds
     sub-teams through the g machinery even above 1/2, so its k must
     absorb every funding denominator and sub-team modulus there too.
     """
-    hier = ctx.hier
-    cached = hier.alloc_memo.get(ctx.x)
-    if cached is not None:
-        return cached
-    if ctx.x == ONE:
-        k = 1
-    else:
-        k = ctx.p0.denominator
-        for _, value, _ in ctx.funding:
-            k = lcm(k, value.denominator)
-        for q in ctx.P_prime:
-            if q == ctx.x:
-                continue
-            sub = _allocation_team_size(make_context(hier, q))
-            k = lcm(k, _modulus(ctx.p0 / q, sub))
-        if ctx.p0_upper_pred is not None:
-            sub = _allocation_team_size(make_context(hier, ctx.p0_upper_pred))
-            k = lcm(k, _modulus(ONE - ctx.p0, sub))
-    hier.alloc_memo[ctx.x] = k
-    return k
+    if x == ONE:
+        return 1
+    ctx = make_context(hier, x)
+    return _closure_size(ctx, ctx.p0.denominator, lambda q: _allocation_team_size(hier, q))
 
 
 # ---- the allocator ----
@@ -316,7 +300,7 @@ def simulate_team(ctx: SimulationContext, trace: MachineTrace) -> TeamAllocation
                 "every node must carry mass exactly x"
             )
 
-    k = _allocation_team_size(ctx)
+    k = _allocation_team_size(ctx.hier, ctx.x)
     target = _as_count(ctx.p0 * k, "success target")
     nu1: dict[Path, int] = {}
     nu2: dict[Path, int] = {(): 0}
@@ -357,7 +341,7 @@ def simulate_team(ctx: SimulationContext, trace: MachineTrace) -> TeamAllocation
                 if c.p0_upper_pred is None:
                     raise ConsistencyError("base context produced an unfunded branch")
                 sub = make_context(c.hier, c.p0_upper_pred)
-            if ki % _allocation_team_size(sub):
+            if ki % _allocation_team_size(sub.hier, sub.x):
                 raise ConsistencyError(
                     f"sub-team size {ki} not a multiple of the row requirement"
                 )

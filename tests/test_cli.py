@@ -158,28 +158,10 @@ def test_limit_witnesses(capsys):
     assert obj["witnesses"] == {"approach": ["1/2", "12/25", "8/17"]}
 
 
-def test_cache_round_trip(capsys, tmp_path, monkeypatch):
+def test_no_disk_cache_is_read(capsys, tmp_path, monkeypatch):
+    # PFINHIER_CACHE_DIR is not read: a planted classify.json changes no answer
     monkeypatch.setenv("PFINHIER_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "classify", "2/3")
-    assert (code, out) == (0, "SUCC\n")
-    payload = json.loads((tmp_path / "classify.json").read_text())
-    assert payload["entries"]["2/3"] == "SUCC"
-
-    # entries are trusted once stored: a planted value is read back verbatim
-    payload["entries"]["7/10"] = "SUCC"
-    (tmp_path / "classify.json").write_text(json.dumps(payload))
-    assert run(capsys, "classify", "7/10")[1] == "SUCC\n"
-    # and the merge keeps old keys while adding new ones
-    run(capsys, "classify", "3/5")
-    merged = json.loads((tmp_path / "classify.json").read_text())
-    assert merged["entries"]["7/10"] == "SUCC"
-    assert merged["entries"]["3/5"] == "SUCC"
-
-
-def test_cache_corruption_is_ignored(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("PFINHIER_CACHE_DIR", str(tmp_path))
-    (tmp_path / "classify.json").write_text("not json at all")
-    assert run(capsys, "classify", "2/3") == (0, "SUCC\n", "")
-    # the rewrite leaves a loadable file behind
-    payload = json.loads((tmp_path / "classify.json").read_text())
-    assert payload["entries"]["2/3"] == "SUCC"
+    planted = {"entries": {"12/25": "NONE", "7/10": "SUCC"}}
+    (tmp_path / "classify.json").write_text(json.dumps(planted))
+    assert run(capsys, "classify", "12/25") == (0, "SUCC\n", "")
+    assert run(capsys, "classify", "7/10") == (0, "NONE\n", "")

@@ -54,6 +54,17 @@ def test_guards(hier):
         hier.classify(F(1, 6))
     with pytest.raises(InputError):
         Hierarchy(floor_level=0)
+    # the guard runs before the memo lookup: 0.5 and True hash and compare
+    # equal to 1/2 and 1, which are warm here, but must still be refused
+    for warm in (F(1, 2), F(1)):
+        hier.classify(warm)
+        hier.bracket(warm)
+        hier.next_below(warm)
+    for query in (hier.classify, hier.bracket, hier.predecessor, hier.next_below,
+                  hier.segment_of):
+        for odd in (0.5, True):
+            with pytest.raises(InputError):
+                query(odd)
 
 
 def test_deeper_floor_admits_more():

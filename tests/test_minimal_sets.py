@@ -55,6 +55,13 @@ def test_budget_guard(hier):
         P(hier, F(12, 25), F(13, 25))
     with pytest.raises(InputError):
         P(hier, F(12, 25), F(-1, 25))
+    # a float or bool budget equal to a warm key is refused, not looked up
+    P(hier, F(1, 2), F(1, 2))
+    P(hier, F(1, 2), F(0))
+    with pytest.raises(InputError):
+        hier.xd_minimal(F(1, 2), 0.5)
+    with pytest.raises(InputError):
+        hier.xd_minimal(F(1, 2), False)
 
 
 def test_find_smallest_advances(hier):

@@ -6,6 +6,7 @@ import pytest
 
 from pfinhier import (
     DomainError,
+    Hierarchy,
     InputError,
     Labeling,
     format_trace,
@@ -68,11 +69,16 @@ def test_team_sizes(hier):
 
 def test_allocation_sizes(hier):
     # allocation sizes close under the divisibility demands of sub-teams
-    assert _allocation_team_size(make_context(hier, F(2, 3))) == 3
-    assert _allocation_team_size(make_context(hier, F(4, 7))) == 21
-    assert _allocation_team_size(make_context(hier, F(6, 11))) == 110
-    assert _allocation_team_size(make_context(hier, F(1, 2))) == 4
-    assert _allocation_team_size(make_context(hier, F(12, 25))) == 25
+    assert _allocation_team_size(hier, F(2, 3)) == 3
+    assert _allocation_team_size(hier, F(4, 7)) == 21
+    assert _allocation_team_size(hier, F(6, 11)) == 110
+    assert _allocation_team_size(hier, F(1, 2)) == 4
+    assert _allocation_team_size(hier, F(12, 25)) == 25
+
+
+def test_team_caches_stay_per_hierarchy():
+    deep = Hierarchy(floor_level=5)
+    assert make_context(deep, F(1, 2)).hier is deep
 
 
 def test_g_values(hier):
