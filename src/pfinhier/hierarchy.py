@@ -28,7 +28,7 @@ from enum import Enum
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
 from .memo import memoized
-from .rationals import ExactRational, HALF, ONE, ZERO
+from .rationals import ExactRational, HALF, ONE, ZERO, ascending_key
 from .rules import apply_rule, h_inverse, h_map, is_valid_application
 
 
@@ -101,18 +101,20 @@ class Hierarchy:
         if floor_level < 1:
             raise InputError(f"floor level must be at least 1: {floor_level}")
         self.floor_level = floor_level
-        self._floor = ExactRational(1, floor_level + 1)
 
     # ---- guards ----
 
     def _check(self, x: ExactRational):
+        # integer comparisons: runs ahead of every memo lookup
         if not isinstance(x, ExactRational):
             raise InputError(f"expected an exact rational, got {type(x).__name__}")
-        if not (ZERO < x <= ONE):
+        n, den = x.numerator, x.denominator
+        if not (0 < n <= den):
             raise InputError(f"probability out of (0, 1]: {x}")
-        if x < self._floor:
+        # x >= 1/(L+1)  <=>  n*(L+1) >= den
+        if n * (self.floor_level + 1) < den:
             raise FloorError(
-                f"{x} lies below the constructed floor {self._floor};"
+                f"{x} lies below the constructed floor 1/{self.floor_level + 1};"
                 " raise the floor level to query it"
             )
 
@@ -197,19 +199,27 @@ class Hierarchy:
             n = x.numerator
             return ExactRational(n - 1, 2 * (n - 1) - 1)
         P = self.xd_minimal(x, x)
-        candidates = set()
+        # The rule is symmetric, so each sorted variant is pooled once. The
+        # components are memoized answers, so equal ones are nearly always
+        # the same object: keying on identities finds the repeats without
+        # hashing Fractions, which costs more than pooling twice.
+        variants = {}
         for T in P.tuples:
-            variants = [T]
+            variants[tuple(map(id, T))] = T
             for j in range(len(T)):
                 if self.classify(T[j]) is Classification.SUCCESSOR:
-                    variants.append(T[:j] + (self.predecessor(T[j]),) + T[j + 1:])
+                    V = minimal_sets.with_component(T[:j] + T[j + 1:], self.predecessor(T[j]))
+                    variants[tuple(map(id, V))] = V
                 if len(T) >= 2:
-                    variants.append(T[:j] + T[j + 1:])
-            for V in variants:
-                value = apply_rule(V)
-                if value > x:
-                    candidates.add(value)
-        for value in sorted(candidates):
+                    V = T[:j] + T[j + 1:]
+                    variants[tuple(map(id, V))] = V
+        xn, xd = x.numerator, x.denominator
+        candidates = []
+        for V in variants.values():
+            value = apply_rule(V)
+            if value.numerator * xd > xn * value.denominator:
+                candidates.append(value)
+        for value in sorted(candidates, key=ascending_key):
             if self.classify(value) is not Classification.NOT_MEMBER:
                 return value
         raise ConsistencyError(f"no member candidate above successor {x}")

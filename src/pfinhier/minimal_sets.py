@@ -14,7 +14,14 @@ strictly above d" for the limit-element advance.
 
 Functions take the hierarchy handle explicitly; it must provide classify,
 predecessor, bracket and next_below. xd_minimal caches its sets on the
-handle, one cache per instance.
+handle, one cache per instance, and so does the per-(x, floor) pair
+(p0', delta) that every budget of the same x shares.
+
+The arithmetic is exact and integer-based: the walk keeps each
+contribution as an integer numerator/denominator pair and compares by
+cross-multiplication, building a Fraction only for the recursive budget.
+Budgets below delta admit no tuple and return the empty set before any
+walk starts.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, InputError
 from .memo import memoized
-from .rationals import ExactRational, ONE
+from .rationals import ExactRational, ONE, ascending_key
 from .rules import contribution
 
 Components = tuple[ExactRational, ...]
@@ -45,24 +52,51 @@ class MinimalSet:
         return len(self.tuples)
 
 
-def _p0_prime(hier, x: ExactRational, floor: ExactRational) -> ExactRational:
-    """Largest member of [floor, 1] with strictly positive contribution."""
-    if x == ONE or x / (ONE - x) > ONE:
-        return ONE
-    t = x / (ONE - x)
-    f1, _ = hier.bracket(t)
-    cand = hier.next_below(t) if f1 == t else f1
-    if cand < floor:
-        raise ConsistencyError(f"no positive contribution above floor {floor} for x={x}")
-    return cand
+def _canonical_key(T: Components):
+    return len(T), tuple(map(ascending_key, T))
+
+
+def with_component(T: Components, y: ExactRational) -> Components:
+    """The ascending tuple T with y inserted ahead of its equals, as sorted((y,) + T) would."""
+    yn, yd = y.numerator, y.denominator
+    for i, c in enumerate(T):
+        if yn * c.denominator <= c.numerator * yd:
+            return T[:i] + (y,) + T[i:]
+    return T + (y,)
+
+
+@memoized(lambda hier, x, floor: None)  # called by xd_minimal after its guard
+def _p0_prime_delta(hier, x: ExactRational, floor: ExactRational):
+    """(p0', delta): the largest member of [floor, 1] with strictly positive
+    contribution, and that contribution, the least any component adds."""
+    xn, xd = x.numerator, x.denominator
+    if 2 * xn > xd:  # x == 1 or x/(1-x) > 1
+        p0p = ONE
+    else:
+        t = ExactRational(xn, xd - xn)
+        f1, _ = hier.bracket(t)
+        p0p = hier.next_below(t) if f1 == t else f1
+        if p0p < floor:
+            raise ConsistencyError(f"no positive contribution above floor {floor} for x={x}")
+    delta = contribution(x, p0p)
+    if delta <= 0:
+        raise ConsistencyError(f"delta must be positive, got {delta}")
+    return p0p, delta
 
 
 def _smallest_with_contribution_at_most(hier, x, floor, bound):
     """Smallest member y >= floor with x/y + x - 1 <= bound, or None."""
-    if bound + ONE - x <= 0:
+    xn, xd = x.numerator, x.denominator
+    bn, bd = bound.numerator, bound.denominator
+    # bound + 1 - x = a / (bd*xd), so the threshold x/(bound + 1 - x) is xn*bd / a
+    a = (bn + bd) * xd - xn * bd
+    if a <= 0:
         return None
-    threshold = x / (bound + ONE - x)
-    lo = max(floor, threshold)
+    tn = xn * bd
+    if floor.numerator * a >= tn * floor.denominator:
+        lo = floor
+    else:
+        lo = ExactRational(tn, a)
     if lo > ONE:
         return None
     _, f2 = hier.bracket(lo)
@@ -100,7 +134,8 @@ def _check_budget(hier, x, d, floor) -> None:
         raise InputError(
             f"expected exact rationals, got {type(x).__name__} and {type(d).__name__}"
         )
-    if d.numerator < 0 or d > x:
+    dn = d.numerator
+    if dn < 0 or dn * x.denominator > x.numerator * d.denominator:
         raise InputError(f"budget d must lie in [0, x]: d={d}, x={x}")
 
 
@@ -115,45 +150,57 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
     limit y's jump to the smallest member whose contribution fits under
     d minus the next achievable total of the inner set.
     """
-    p0p = _p0_prime(hier, x, floor)
-    delta = contribution(x, p0p)
-    if delta <= 0:
-        raise ConsistencyError(f"delta must be positive, got {delta}")
+    p0p, delta = _p0_prime_delta(hier, x, floor)
+    xn, xd = x.numerator, x.denominator
+    dn, dd = d.numerator, d.denominator
+    en, ed = delta.numerator, delta.denominator
+    if dn * ed < en * dd:  # d < delta: no component fits
+        return MinimalSet(x=x, d=d, floor=floor, delta=delta, p0_prime=p0p, tuples=())
+
+    from .hierarchy import Classification  # import cycle: hierarchy imports this module
 
     collected: list[Components] = []
-    if d >= delta:
-        y = _smallest_with_contribution_at_most(hier, x, floor, d)
-        if y is None:
-            raise ConsistencyError("no starting component despite d >= delta")
-        prev_y = None
-        while contribution(x, y) > 0:
-            if prev_y is not None and not y > prev_y:
-                raise ConsistencyError("component walk failed to advance")
-            c = contribution(x, y)
-            d_rest = d - c
-            if d_rest > d - delta:
-                raise ConsistencyError("recursive budget must drop by at least delta")
-            inner = xd_minimal(hier, x, d_rest, floor)
-            if not inner.tuples:
-                collected.append((y,))
-            else:
-                for T in inner.tuples:
-                    collected.append(tuple(sorted((y,) + T)))
-            cls = hier.classify(y)
-            prev_y = y
-            if cls.name == "MAXIMAL":
+    y = _smallest_with_contribution_at_most(hier, x, floor, d)
+    if y is None:
+        raise ConsistencyError("no starting component despite d >= delta")
+    prev_y = None
+    while True:
+        # c(x, y) = x/y + x - 1 = cn/cd with cd > 0
+        yn, yd = y.numerator, y.denominator
+        cd = xd * yn
+        cn = xn * (yd + yn) - cd
+        if cn <= 0:
+            break
+        if prev_y is not None and yn * prev_y.denominator <= prev_y.numerator * yd:
+            raise ConsistencyError("component walk failed to advance")
+        if cn * ed < en * cd:  # c < delta, so d - c > d - delta
+            raise ConsistencyError("recursive budget must drop by at least delta")
+        d_rest = ExactRational(dn * cd - cn * dd, dd * cd)
+        inner = xd_minimal(hier, x, d_rest, floor)
+        if not inner.tuples:
+            collected.append((y,))
+        else:
+            for T in inner.tuples:
+                collected.append(with_component(T, y))
+        cls = hier.classify(y)
+        prev_y = y
+        if cls is Classification.MAXIMAL:
+            break
+        if cls is Classification.SUCCESSOR:
+            y = hier.predecessor(y)
+        else:
+            nxt_total = find_smallest(hier, inner, x, d_rest)
+            if nxt_total is None:
                 break
-            if cls.name == "SUCCESSOR":
-                y = hier.predecessor(y)
-            else:
-                nxt_total = find_smallest(hier, inner, x, d_rest)
-                if nxt_total is None:
-                    break
-                y = _smallest_with_contribution_at_most(hier, x, floor, d - nxt_total)
-                if y is None:
-                    break
+            y = _smallest_with_contribution_at_most(hier, x, floor, d - nxt_total)
+            if y is None:
+                break
 
-    canonical = tuple(sorted(set(collected), key=lambda T: (len(T), T)))
+    # distinct tuples ordered by (length, components); equal tuples sort adjacent
+    collected.sort(key=_canonical_key)
+    canonical = tuple(
+        T for i, T in enumerate(collected) if i == 0 or T != collected[i - 1]
+    )
     return MinimalSet(x=x, d=d, floor=floor, delta=delta, p0_prime=p0p, tuples=canonical)
 
 

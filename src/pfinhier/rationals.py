@@ -16,15 +16,37 @@ ZERO = ExactRational(0)
 ONE = ExactRational(1)
 HALF = ExactRational(1, 2)
 
+# Fraction("1e-100000000") builds 10**100000000 before anything else can
+# refuse it, and the int_max_str_digits guard does not cover that path, so
+# literal length and decimal exponent are bounded ahead of the constructor.
+# Together they keep a parsed value under 2000 digits, so format_rational
+# stays within the default 4300-digit int_max_str_digits.
+MAX_LITERAL_LENGTH = 1000
+MAX_DECIMAL_EXPONENT = 1000
+
+
+def ascending_key(value: ExactRational):
+    """Sort key ordering rationals exactly, with float comparisons doing most of the work.
+
+    Integer true division rounds correctly, so a < b implies
+    float(a) <= float(b); only values whose floats tie are compared as
+    Fractions.
+    """
+    return value.numerator / value.denominator, value
+
 
 def parse_rational(text: str) -> ExactRational:
     """Parse "a/b", an integer literal, or a decimal literal, exactly.
 
     Decimal strings go through Fraction's exact string constructor, so
-    "0.47" means 47/100, not the nearest binary float.
+    "0.47" means 47/100, not the nearest binary float. Literals longer
+    than MAX_LITERAL_LENGTH characters, decimal exponents beyond
+    MAX_DECIMAL_EXPONENT in magnitude, and bools are refused.
     """
     if isinstance(text, ExactRational):
         return text
+    if isinstance(text, bool):
+        raise InputError(f"cannot parse rational from bool: {text!r}")
     if isinstance(text, int):
         return ExactRational(text)
     if not isinstance(text, str):
@@ -32,6 +54,8 @@ def parse_rational(text: str) -> ExactRational:
     s = text.strip()
     if not s:
         raise InputError("empty rational literal")
+    if len(s) > MAX_LITERAL_LENGTH:
+        raise InputError(f"rational literal longer than {MAX_LITERAL_LENGTH} characters")
     if "/" in s:
         num_s, _, den_s = s.partition("/")
         try:
@@ -43,6 +67,9 @@ def parse_rational(text: str) -> ExactRational:
             raise InputError(f"zero denominator: {text!r}")
         return ExactRational(num, den)
     try:
+        _, e, exponent = s.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+            raise InputError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {text!r}")
         return ExactRational(s)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"malformed rational literal: {text!r}") from None

@@ -7,6 +7,11 @@ the optimal odds-weighted pooling rule, into a single success probability
 
 The induced per-component weights q_i = p/p_i + p - 1 always sum to p; the
 application is admissible only when every weight lies in [0, 1].
+
+The two hot closed forms, apply_rule and contribution, work on integer
+numerators and denominators and build a single Fraction at the end, so
+their answers stay exact while skipping the per-operation normalization
+and type dispatch of Fraction arithmetic.
 """
 
 from collections.abc import Sequence
@@ -20,11 +25,17 @@ def apply_rule(components: Sequence[ExactRational]) -> ExactRational:
     s = len(components)
     if s == 0:
         raise InputError("apply_rule needs at least one component")
+    # sum(1/p_i) accumulated as num/den in plain ints
+    num, den = 0, 1
     for p in components:
-        if not (ZERO < p <= ONE):
+        try:
+            pn, pd = p.numerator, p.denominator
+        except AttributeError:
+            raise InputError(f"component is not an exact rational: {p!r}") from None
+        if not (0 < pn <= pd):
             raise InputError(f"component out of (0,1]: {p}")
-    inv_sum = sum((ONE / p for p in components), start=ExactRational(0))
-    return ExactRational(s) / (ExactRational(s - 1) + inv_sum)
+        num, den = num * pn + den * pd, den * pn
+    return ExactRational(s * den, (s - 1) * den + num)
 
 
 def solve_weights(components: Sequence[ExactRational]) -> list[ExactRational]:
@@ -51,7 +62,12 @@ def contribution(x: ExactRational, p: ExactRational) -> ExactRational:
 
     Increasing in x, decreasing in p; nonpositive exactly when p >= x/(1-x).
     """
-    return x / p + x - ONE
+    try:
+        xn, xd = x.numerator, x.denominator
+        pn, pd = p.numerator, p.denominator
+    except AttributeError:
+        raise InputError(f"expected exact rationals, got {x!r} and {p!r}") from None
+    return ExactRational(xn * (pd + pn) - xd * pn, xd * pn)
 
 
 def h_map(p: ExactRational) -> ExactRational:

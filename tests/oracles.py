@@ -18,6 +18,17 @@ HALF = F(1, 2)
 ONE = F(1)
 
 
+def apply_rule_reference(components) -> Fraction:
+    """The pooling rule s / ((s - 1) + sum(1/p_i)) in plain Fraction arithmetic."""
+    s = len(components)
+    return F(s) / (F(s - 1) + sum((ONE / p for p in components), start=F(0)))
+
+
+def contribution_reference(x: Fraction, p: Fraction) -> Fraction:
+    """The weight x/p + x - 1 in plain Fraction arithmetic."""
+    return x / p + x - ONE
+
+
 def base_members(n_max: int) -> list[Fraction]:
     """Ascending members of the base segment: 1/2, the n/(2n-1) ladder, 1."""
     return [HALF] + [F(n, 2 * n - 1) for n in range(n_max, 1, -1)] + [ONE]

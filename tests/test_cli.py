@@ -33,6 +33,9 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "classify", "1/6")
     assert code == 3 and "floor" in err
     assert run(capsys, "--floor", "5", "classify", "1/6") == (0, "LIM\n", "")
+    # a huge decimal exponent is refused at once instead of hanging
+    code, out, err = run(capsys, "classify", "1e-99999999")
+    assert code == 2 and out == "" and "exponent" in err
     # argparse usage failures also land on 2
     assert run(capsys, "no-such-verb", "1")[0] == 2
     assert run(capsys, "pred")[0] == 2

@@ -29,3 +29,25 @@ def test_format_lowest_terms_and_integers():
 @given(st.fractions())
 def test_round_trip(x):
     assert parse_rational(format_rational(x)) == x
+
+
+def test_huge_decimal_exponent_is_refused_at_once():
+    # Fraction would build 10**100000000 first and run for minutes
+    for bad in ("1e-100000000", "1E100000000", "5e-99999999", "1e-1001"):
+        with pytest.raises(InputError):
+            parse_rational(bad)
+    assert parse_rational("1e-1000") == Fraction(1, 10**1000)
+    assert parse_rational("2.5e-1") == Fraction(1, 4)
+
+
+def test_overlong_literal_is_refused():
+    for bad in ("1" * 1001, "1/" + "3" * 999, "0." + "4" * 999):
+        with pytest.raises(InputError):
+            parse_rational(bad)
+
+
+def test_bool_is_not_a_rational():
+    for bad in (True, False):
+        with pytest.raises(InputError):
+            parse_rational(bad)
+    assert parse_rational(1) == Fraction(1)

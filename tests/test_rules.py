@@ -7,6 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pfinhier import (
+    Classification,
+    FloorError,
+    Hierarchy,
     InputError,
     apply_rule,
     contribution,
@@ -15,6 +18,9 @@ from pfinhier import (
     is_valid_application,
     solve_weights,
 )
+from pfinhier.minimal_sets import xd_minimal
+
+from oracles import apply_rule_reference, contribution_reference
 
 members = st.sampled_from(
     [F(1, 2)] + [F(n, 2 * n - 1) for n in range(2, 13)] + [F(1)]
@@ -38,6 +44,11 @@ def test_apply_rule_rejects_empty_and_out_of_range():
         apply_rule((F(0),))
     with pytest.raises(InputError):
         apply_rule((F(3, 2),))
+    # floats are refused, not pooled into a float
+    with pytest.raises(InputError):
+        apply_rule((F(1), 0.5))
+    with pytest.raises(InputError):
+        contribution(0.5, F(2, 3))
 
 
 def test_weights_worked_example():
@@ -74,3 +85,48 @@ def test_h_round_trip(p):
 def test_contribution_fixed_point():
     for x in (F(12, 25), F(1, 2), F(2, 3)):
         assert contribution(x, x) == x
+
+
+# ---- integer fast paths against the plain Fraction formulas ----
+
+unit_interval = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(
+    lambda p: p > 0
+)
+
+
+@given(st.lists(unit_interval, min_size=1, max_size=6))
+def test_apply_rule_matches_fraction_formula(T):
+    assert apply_rule(T) == apply_rule_reference(T)
+
+
+@given(unit_interval, st.fractions(max_denominator=10**6).filter(lambda p: p != 0))
+def test_contribution_matches_fraction_formula(x, p):
+    assert contribution(x, p) == contribution_reference(x, p)
+
+
+@given(st.sampled_from([F(3, 7), F(5, 12), F(12, 25), F(1, 2), F(4, 9), F(3, 5), F(1)]),
+       st.fractions(min_value=0, max_value=1))
+def test_budget_below_delta_is_empty(hier, x, share):
+    floor = hier.governing_floor(x)
+    full = xd_minimal(hier, x, x, floor)
+    d = full.delta * share
+    if d == full.delta:
+        return
+    P = xd_minimal(hier, x, d, floor)
+    assert P.tuples == ()
+    assert P.d == d and P.x == x and P.floor == floor
+    assert (P.delta, P.p0_prime) == (full.delta, full.p0_prime)
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=10**6))
+def test_guard_boundaries(level, k):
+    h = Hierarchy(floor_level=level)
+    floor = F(1, level + 1)
+    # the floor itself is admitted: it is the image chain of 1/2, a limit
+    assert h.classify(floor) is Classification.LIMIT
+    # 1/(L+1) - 1/((L+1)((L+1)k + 1)) lies just below it
+    with pytest.raises(FloorError):
+        h.classify(F(k, (level + 1) * k + 1))
+    for bad in (F(0), F(-k, level + 1), F(level + 2, level + 1), F(k + 1, k)):
+        with pytest.raises(InputError):
+            h.classify(bad)
