@@ -205,14 +205,15 @@ class Hierarchy:
         # hashing Fractions, which costs more than pooling twice.
         variants = {}
         for T in P.tuples:
-            variants[tuple(map(id, T))] = T
+            found = [T]
             for j in range(len(T)):
+                rest = T[:j] + T[j + 1:]
                 if self.classify(T[j]) is Classification.SUCCESSOR:
-                    V = minimal_sets.with_component(T[:j] + T[j + 1:], self.predecessor(T[j]))
-                    variants[tuple(map(id, V))] = V
-                if len(T) >= 2:
-                    V = T[:j] + T[j + 1:]
-                    variants[tuple(map(id, V))] = V
+                    found.append(minimal_sets.with_component(rest, self.predecessor(T[j])))
+                if rest:
+                    found.append(rest)
+            for V in found:
+                variants[tuple(map(id, V))] = V
         xn, xd = x.numerator, x.denominator
         candidates = []
         for V in variants.values():
