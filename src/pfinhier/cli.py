@@ -301,6 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# usage errors raised by the kernel; ConsistencyError is left to escape
+_EXIT_CODES = {DomainError: 1, InputError: 2, FloorError: 3}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -309,22 +313,10 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help/--version, 2 for bad usage
         return int(exc.code or 0)
     try:
-        hier = Hierarchy(floor_level=args.floor)
-    except InputError as exc:
+        return args.func(Hierarchy(floor_level=args.floor), args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        code = args.func(hier, args)
-    except FloorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return code
+        return _EXIT_CODES[type(exc)]
 
 
 def entry_point() -> None:

@@ -14,7 +14,9 @@ chain of members is finite, and limit members are approached from above
 by computable strictly decreasing sequences.
 
 All queries live on a Hierarchy object, which memoizes classifications,
-segments, predecessors, brackets, neighbors and minimal sets per instance.
+segments, governing floors, predecessors, limit sequences, brackets,
+neighbors and minimal sets per instance. A memoized limit sequence keeps
+every term it has computed, for all later callers.
 Queries below the configured floor level raise FloorError instead of
 recursing without bound.
 """
@@ -43,31 +45,32 @@ class Classification(Enum):
 class Segment:
     """One piece [r_lo, r_hi] of the chain splitting an anchor interval.
 
-    The anchor runs from anchor_low = p/(1+p) to anchor_high = r/(1+r)
-    for consecutive previous-level members p < r; index i means r_lo and
-    r_hi are r_{i+1} and r_i of the anchor's recurrence. By convention a
-    chain point r_{i+1} belongs to the segment it bounds from below.
+    The anchor runs from anchor_low = p/(1+p) to r/(1+r) for consecutive
+    previous-level members p < r; r_lo and r_hi are consecutive terms
+    r_{i+1} and r_i of the anchor's recurrence. By convention a chain
+    point r_{i+1} belongs to the segment it bounds from below.
     """
 
-    level: int
     anchor_low: ExactRational
-    anchor_high: ExactRational
-    index: int
     r_lo: ExactRational
     r_hi: ExactRational
+
+
+# consecutive skipped raw indices after which a sequence is declared stuck
+SCAN_CAP = 1000
 
 
 class LimitSequence:
     """Lazy strictly decreasing member sequence converging to a limit point.
 
-    The raw generator may return None for indices it wants skipped (terms
-    clipped by a segment bound or failing validity); skipped indices are
-    transparent to callers, who see a dense 0, 1, 2, ... indexing.
+    The raw generator is called once per index, in order, and may return
+    None for indices it wants skipped (terms clipped by a segment bound or
+    failing validity); skipped indices are transparent to callers, who see
+    a dense 0, 1, 2, ... indexing.
     """
 
-    def __init__(self, raw, scan_cap: int = 1000):
+    def __init__(self, raw):
         self._raw = raw
-        self._scan_cap = scan_cap
         self._accepted: list[ExactRational] = []
         self._cursor = 0
 
@@ -82,16 +85,13 @@ class LimitSequence:
                 if value is not None:
                     break
                 scanned += 1
-                if scanned > self._scan_cap:
+                if scanned > SCAN_CAP:
                     raise ConsistencyError("limit sequence stopped producing terms")
             self._accepted.append(value)
         return self._accepted[k]
 
     def take(self, n: int) -> list[ExactRational]:
         return [self.term(k) for k in range(n)]
-
-    def __call__(self, k: int) -> ExactRational:
-        return self.term(k)
 
 
 class Hierarchy:
@@ -161,19 +161,16 @@ class Hierarchy:
         a_low, a_high = h_map(p), h_map(r)
         if not (a_low < x < a_high):
             raise ConsistencyError(f"{x} escaped its anchor interval [{a_low}, {a_high}]")
-        level = math.ceil(ONE / x) - 1
-        index = 0
         r_hi = a_high
         while True:
             r_lo = apply_rule((p, r_hi))
             if r_lo <= x:
-                return Segment(level, a_low, a_high, index, r_lo, r_hi)
-            index += 1
+                return Segment(a_low, r_lo, r_hi)
             r_hi = r_lo
 
+    @memoized(_check)
     def governing_floor(self, x: ExactRational) -> ExactRational:
         """Lower bound for components of any rule application reaching x."""
-        self._check(x)
         if x >= HALF:
             return self.bracket(x)[1]
         if self.classify(h_inverse(x)) is not Classification.NOT_MEMBER:
@@ -227,8 +224,8 @@ class Hierarchy:
 
     # ---- limit sequences ----
 
+    @memoized(_check)
     def limit_sequence(self, x: ExactRational) -> LimitSequence:
-        self._check(x)
         if self.classify(x) is not Classification.LIMIT:
             raise DomainError(f"limit sequences exist for limit elements only, got {x}")
         if x == HALF:
@@ -258,14 +255,9 @@ class Hierarchy:
         raise ConsistencyError(f"limit element {x} has no generator with a limit component")
 
     def _r_sequence(self, p: ExactRational, r0: ExactRational) -> LimitSequence:
-        cache = [r0]
-
-        def raw(k):
-            while len(cache) <= k:
-                cache.append(apply_rule((p, cache[-1])))
-            return cache[k]
-
-        return LimitSequence(raw)
+        # raw(k) runs once, after term k - 1 was accepted, and never skips
+        seq = LimitSequence(lambda k: apply_rule((p, seq.term(k - 1))) if k else r0)
+        return seq
 
     def _substituted_sequence(self, template, slot, component_seq, upper_bound):
         """Walk component_seq through one slot of a generator tuple.

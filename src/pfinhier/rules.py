@@ -41,7 +41,7 @@ def apply_rule(components: Sequence[ExactRational]) -> ExactRational:
 def solve_weights(components: Sequence[ExactRational]) -> list[ExactRational]:
     """Per-component weights q_i = p/p_i + p - 1 for the pooled value p."""
     p = apply_rule(components)
-    weights = [p / pi + p - ONE for pi in components]
+    weights = [contribution(p, pi) for pi in components]
     # identity check: the weights of a pooled application always sum to p
     if sum(weights, start=ZERO) != p:
         raise ConsistencyError("weights do not sum to the pooled value")

@@ -42,7 +42,7 @@ def parse_tree(text: str) -> Tree:
         elif ch == ")":
             if not stack:
                 raise InputError("unbalanced ')' in tree text")
-            done = tuple(_freeze(c) for c in stack.pop())
+            done = tuple(stack.pop())
             if stack:
                 stack[-1].append(done)
             elif root is None:
@@ -58,10 +58,6 @@ def parse_tree(text: str) -> Tree:
     return root
 
 
-def _freeze(node):
-    return node if isinstance(node, tuple) else tuple(node)
-
-
 def format_tree(tree: Tree) -> str:
     return "(" + "".join(format_tree(c) for c in tree) + ")"
 
@@ -75,16 +71,6 @@ def iter_nodes(tree: Tree, prefix: Path = ()):
 
 def leaf_paths(tree: Tree) -> list[Path]:
     return [path for path, sub in iter_nodes(tree) if not sub]
-
-
-def subtree_at(tree: Tree, path: Path) -> Tree:
-    node = tree
-    for i in path:
-        try:
-            node = node[i]
-        except IndexError:
-            raise InputError(f"no node at path {format_path(path)!r}") from None
-    return node
 
 
 def _pool_children(values) -> ExactRational:

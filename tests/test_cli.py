@@ -33,6 +33,11 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "classify", "1/6")
     assert code == 3 and "floor" in err
     assert run(capsys, "--floor", "5", "classify", "1/6") == (0, "LIM\n", "")
+    # a floor below 1 and a zero count are argument errors
+    code, out, err = run(capsys, "--floor", "0", "classify", "1/2")
+    assert code == 2 and out == "" and "floor" in err
+    code, out, err = run(capsys, "enum", "1/2", "1", "0")
+    assert code == 2 and out == "" and "count" in err
     # a huge decimal exponent is refused at once instead of hanging
     code, out, err = run(capsys, "classify", "1e-99999999")
     assert code == 2 and out == "" and "exponent" in err

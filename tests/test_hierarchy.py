@@ -60,8 +60,10 @@ def test_guards(hier):
         hier.classify(warm)
         hier.bracket(warm)
         hier.next_below(warm)
+        hier.governing_floor(warm)
+    hier.limit_sequence(F(1, 2))
     for query in (hier.classify, hier.bracket, hier.predecessor, hier.next_below,
-                  hier.segment_of):
+                  hier.segment_of, hier.limit_sequence, hier.governing_floor):
         for odd in (0.5, True):
             with pytest.raises(InputError):
                 query(odd)
@@ -101,6 +103,11 @@ def test_limit_sequences_frozen(hier):
     assert hier.limit_sequence(F(1, 3)).take(5) == [
         F(1, 2), F(2, 5), F(3, 8), F(4, 11), F(5, 14)]
     assert hier.limit_sequence(F(1, 4)).take(3) == [F(1, 3), F(2, 7), F(3, 11)]
+    # limits inside a segment walk a limit component of their generator
+    assert hier.limit_sequence(F(5, 12)).take(5) == [
+        F(8, 19), F(210, 499), F(220, 523), F(230, 547), F(240, 571)]
+    assert hier.limit_sequence(F(3, 7)).take(5) == [
+        F(4, 9), F(42, 95), F(48, 109), F(18, 41), F(60, 137)]
 
 
 def test_limit_sequence_properties(hier):
@@ -113,6 +120,11 @@ def test_limit_sequence_properties(hier):
             hier.classify(t) is not Classification.NOT_MEMBER for t in terms)
         # dense reindexing is stable
         assert seq.term(3) == terms[3]
+    # sequences are shared per point: a deep read by one caller leaves
+    # the terms another caller sees unchanged
+    head = hier.limit_sequence(F(1, 2)).take(5)
+    hier.limit_sequence(F(1, 2)).term(30)
+    assert hier.limit_sequence(F(1, 2)).take(5) == head
     with pytest.raises(InputError):
         hier.limit_sequence(F(1, 2)).term(-1)
     with pytest.raises(DomainError):
