@@ -8,6 +8,8 @@ them:
   denominator at most 24;
 - a 20-step `next_below` chain from 1/2;
 - the `predecessor` of every successor met in the two lists above;
+- `team_size` and the allocator's team size of every grid member above
+  5/12 (5/12 alone would add about 2 s to the replay);
 - `xd_minimal` tuples, delta and p0' for x in {3/7, 5/12, 12/25, 1/2}
   at the full budget d = x and at three partial budgets.
 
@@ -27,6 +29,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from pfinhier import Classification, Hierarchy, format_rational
+from pfinhier.teams import _allocation_team_size, team_size
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -49,12 +52,15 @@ def build_corpus(hier: Hierarchy | None = None) -> dict:
     successors = set()
 
     classify, bracket = {}, {}
+    members = []
     for x in grid():
         cls = hier.classify(x)
         classify[fmt(x)] = cls.value
         bracket[fmt(x)] = [fmt(b) for b in hier.bracket(x)]
         if cls is Classification.SUCCESSOR:
             successors.add(x)
+        if cls is not Classification.NOT_MEMBER and x > GRID_LOW:
+            members.append(x)
 
     chain = [F(1, 2)]
     for _ in range(CHAIN_STEPS):
@@ -62,6 +68,9 @@ def build_corpus(hier: Hierarchy | None = None) -> dict:
     successors.update(u for u in chain if hier.classify(u) is Classification.SUCCESSOR)
 
     predecessor = {fmt(x): fmt(hier.predecessor(x)) for x in sorted(successors)}
+
+    sizes = {fmt(x): team_size(hier, x) for x in members}
+    allocation_sizes = {fmt(x): _allocation_team_size(hier, x) for x in members}
 
     xd = []
     for x in XD_POINTS:
@@ -81,6 +90,8 @@ def build_corpus(hier: Hierarchy | None = None) -> dict:
         "bracket": bracket,
         "next_below_chain": [fmt(u) for u in chain],
         "predecessor": predecessor,
+        "team_size": sizes,
+        "allocation_team_size": allocation_sizes,
         "xd_minimal": xd,
     }
 
