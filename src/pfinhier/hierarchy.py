@@ -8,10 +8,13 @@ members (always limit points) and, between consecutive images, by segment
 chains r_0 > r_1 > ... obtained from the recurrence r_next = pool(p, r).
 Membership inside a segment reduces to the finite minimal-set search.
 
-A is well ordered in decreasing order, so every member except 1 has an
-immediate member above it (the predecessor), every strictly ascending
-chain of members is finite, and limit members are approached from above
-by computable strictly decreasing sequences.
+A is well ordered in decreasing order: every nonempty set of members has
+a largest element. So every strictly ascending chain of members is
+finite, which is why the climb behind bracket and next_below ends, and
+every member above the floor edge 1/(L+1) has an immediate member below
+it. Only successors also have an immediate member above them (the
+predecessor); limit members are approached from above by computable
+strictly decreasing sequences.
 
 All queries live on a Hierarchy object, which memoizes classifications,
 segments, governing floors, predecessors, limit sequences, brackets,
@@ -281,7 +284,8 @@ class Hierarchy:
     @memoized(_check)
     def bracket(self, p: ExactRational):
         """Largest member <= p and smallest member >= p."""
-        if p == ONE or p == HALF:
+        if p.numerator == 1:
+            # every 1/k is a member: 1, 1/2, and the images of 1/(k-1)
             return p, p
         if p > HALF:
             n_star = math.floor(p / (2 * p - 1))
@@ -290,21 +294,30 @@ class Hierarchy:
                 return p, p
             f1 = ExactRational(n_star + 1, 2 * n_star + 1)
             return f1, f2
-        n = max(math.ceil(ONE / p) - 1, 1)
-        cur = ExactRational(1, n + 1)
+        return self._climb(p, strict=False)
+
+    def _climb(self, p: ExactRational, strict: bool):
+        """The last member below p (< p if strict, else <= p) and the member above it.
+
+        Climbs from the member 1/(k+1) under p through predecessors and
+        limit sequences, never past p; ascending chains of members are
+        finite, so the climb ends.
+        """
+        below = p.__gt__ if strict else p.__ge__
+        cur = ExactRational(1, p.denominator // p.numerator + 1)
         while True:
             if cur == p:
                 return p, p
             cls = self.classify(cur)
             if cls is Classification.SUCCESSOR:
                 nxt = self.predecessor(cur)
-                if nxt > p:
+                if not below(nxt):
                     return cur, nxt
                 cur = nxt
             elif cls is Classification.LIMIT:
                 seq = self.limit_sequence(cur)
                 k = 0
-                while seq.term(k) > p:
+                while not below(seq.term(k)):
                     k += 1
                 cur = seq.term(k)
             else:
@@ -312,34 +325,17 @@ class Hierarchy:
 
     @memoized(_check)
     def next_below(self, u: ExactRational) -> ExactRational:
-        """The member immediately below u; total on members except the floor edge."""
+        """The member immediately below u; total on members except the
+        floor edge 1/(L+1), whose neighbor lies under the floor (FloorError)."""
         if self.classify(u) is Classification.NOT_MEMBER:
             raise DomainError(f"next_below needs a member, got {u}")
-        if u == ONE:
-            return ExactRational(2, 3)
         if u > HALF:
             n = u.numerator
             return ExactRational(n + 1, 2 * n + 1)
-        t = h_inverse(u)
-        if self.classify(t) is not Classification.NOT_MEMBER:
-            lo = h_map(self.next_below(t))
-        else:
-            seg = self.segment_of(u)
-            if u == seg.r_lo:
-                lo = apply_rule((h_inverse(seg.anchor_low), u))
-            else:
-                lo = seg.r_lo
-        # ascend from below until the gap just under u is certified
-        while True:
-            mid = (lo + u) / 2
-            f1, f2 = self.bracket(mid)
-            if f2 == u:
-                if not f1 < u:
-                    raise ConsistencyError(f"next_below({u}) produced {f1}")
-                return f1
-            if not (lo < f2 < u):
-                raise ConsistencyError(f"neighbor search stalled at {f2} under {u}")
-            lo = f2
+        lo, hi = self._climb(u, strict=True)
+        if hi != u:
+            raise ConsistencyError(f"the member above next_below({u}) = {lo} is {hi}")
+        return lo
 
     # ---- interval enumeration and the decision procedure ----
 

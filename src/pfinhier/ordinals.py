@@ -6,6 +6,11 @@ stored as a tuple of (exponent, coefficient) pairs. The empty tuple is 0.
 Both the standard (non-commutative) operations and the Hessenberg natural
 operations are provided, together with a text syntax that round-trips
 exactly through the printer and the expression evaluator.
+
+Nesting is bounded: the evaluator refuses expressions with more than
+MAX_NESTING levels of parentheses and exponents, and alpha_at refuses
+points whose order type would print deeper than that, so every printed
+value reads back and recursion stays far from the interpreter's limit.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import ConsistencyError, DomainError, InputError
-from .rationals import ExactRational
+from .rationals import HALF, ZERO, ExactRational
 
 
 @total_ordering
@@ -64,6 +69,9 @@ class Ordinal:
     def __mul__(self, other: "Ordinal") -> "Ordinal":
         return ord_mul(self, other)
 
+
+# deepest nesting of parentheses and exponents parse_ordinal accepts
+MAX_NESTING = 100
 
 ORD_ZERO = Ordinal(())
 ORD_ONE = Ordinal(((ORD_ZERO, 1),))
@@ -189,6 +197,16 @@ class _Scanner:
             else:
                 raise InputError(f"unexpected character {ch!r} in ordinal expression")
         self.pos = 0
+        self.depth = 0
+
+    def nest(self, parse):
+        """Run parse one level deeper, refusing nesting beyond MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise InputError(f"ordinal expression nests deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        value = parse(self)
+        self.depth -= 1
+        return value
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -208,8 +226,10 @@ def parse_ordinal(text: str) -> Ordinal:
     """Evaluate an ordinal expression over +, -, * and w^(...).
 
     Sums and differences associate left; * binds tighter than + and -, and
-    ^ tighter still. The canonical printed form of any ordinal evaluates
-    back to that ordinal.
+    ^ tighter still. Nesting deeper than MAX_NESTING raises InputError;
+    an exponent counts one level, the parentheses of w^(...) included.
+    The canonical printed form of any ordinal it returns evaluates back
+    to that ordinal.
     """
     scanner = _Scanner(text)
     value = _parse_sum(scanner)
@@ -242,14 +262,15 @@ def _parse_atom(sc: _Scanner) -> Ordinal:
     if tok.isdigit():
         return from_int(int(tok))
     if tok == "(":
-        inner = _parse_sum(sc)
+        inner = sc.nest(_parse_sum)
         sc.expect(")")
         return inner
     if tok == "w":
-        if sc.peek() == "^":
-            sc.take()
-            return omega_pow(_parse_atom(sc))
-        return OMEGA
+        if sc.peek() != "^":
+            return OMEGA
+        sc.take()
+        # an exponent is one level; the parentheses of w^(...) count as that level
+        return omega_pow(_parse_atom(sc) if sc.peek() == "(" else sc.nest(_parse_atom))
     raise InputError(f"unexpected token {tok!r} in ordinal expression")
 
 
@@ -266,17 +287,29 @@ def alpha_at(x: ExactRational) -> Ordinal:
 
     Supported: x = n/(2n-1) (value n), x = 1/2 (value w), images of
     supported points under p -> p/(1+p) (value w^(previous)), and the two
-    tabulated constants 4/9 and 3/7. Anything else raises DomainError.
+    tabulated constants 4/9 and 3/7. Anything else raises DomainError,
+    and so does an image more than MAX_NESTING shifts deep: each shift
+    nests one exponent, and parse_ordinal reads no deeper.
     """
+    point, shifts = x, 0
+    while x not in ALPHA_TABLE and ZERO < x < HALF:
+        if shifts == MAX_NESTING:
+            raise DomainError(
+                f"order type at {point} needs more than {MAX_NESTING} shifts p -> p/(1+p)"
+            )
+        x = x / (1 - x)
+        shifts += 1
     if x in ALPHA_TABLE:
-        return ALPHA_TABLE[x]
-    if 0 < x <= 1 and x.denominator == 2 * x.numerator - 1:
-        return from_int(x.numerator)
-    if x == ExactRational(1, 2):
-        return OMEGA
-    if ExactRational(0) < x < ExactRational(1, 2):
-        return omega_pow(alpha_at(x / (1 - x)))
-    raise DomainError(
-        "order type is only available at n/(2n-1), 1/2, images under "
-        "p -> p/(1+p) of supported points, and the tabulated points 4/9 and 3/7"
-    )
+        value = ALPHA_TABLE[x]
+    elif 0 < x <= 1 and x.denominator == 2 * x.numerator - 1:
+        value = from_int(x.numerator)
+    elif x == HALF:
+        value = OMEGA
+    else:
+        raise DomainError(
+            "order type is only available at n/(2n-1), 1/2, images under "
+            "p -> p/(1+p) of supported points, and the tabulated points 4/9 and 3/7"
+        )
+    for _ in range(shifts):
+        value = omega_pow(value)
+    return value

@@ -16,14 +16,16 @@ from math import gcd, lcm
 from .errors import ConsistencyError, DomainError, InputError
 from .hierarchy import Classification, Hierarchy
 from .memo import memoized
-from .minimal_sets import MinimalSet, component_pool
+from .minimal_sets import component_pool
 from .rationals import ExactRational, HALF, ONE, ZERO
 from .rules import contribution
 from .trees import (
     Labeling,
     Path,
     Tree,
+    format_labeling,
     format_path,
+    format_tree,
     iter_nodes,
     parse_labeling,
     parse_tree,
@@ -46,7 +48,6 @@ class SimulationContext:
     p0: ExactRational
     p0_upper: ExactRational
     p0_upper_pred: ExactRational | None
-    P: MinimalSet
     P_prime: tuple[ExactRational, ...]
     funding: tuple[tuple[ExactRational, ExactRational, ExactRational], ...]
     hier: Hierarchy = field(compare=False, repr=False)
@@ -85,7 +86,6 @@ def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
 
     x need not be a hierarchy member; p0 rounds it up to one."""
     _, p0 = hier.bracket(x)
-    floor = hier.governing_floor(x)
     P = hier.xd_minimal(x, x)
     P_prime = component_pool(P)
     p0_upper = P.p0_prime
@@ -109,7 +109,6 @@ def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
         p0=p0,
         p0_upper=p0_upper,
         p0_upper_pred=p0_upper_pred,
-        P=P,
         P_prime=P_prime,
         funding=funding,
         hier=hier,
@@ -264,8 +263,6 @@ def parse_trace(text: str) -> MachineTrace:
 
 
 def format_trace(trace: MachineTrace) -> str:
-    from .trees import format_labeling, format_tree
-
     return format_tree(trace.tree) + "\n" + format_labeling(trace.labeling)
 
 

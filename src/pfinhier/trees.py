@@ -29,15 +29,24 @@ from .rules import apply_rule, contribution
 Tree = tuple
 Path = tuple[int, ...]
 
+# deepest tree parse_tree accepts; the tree procedures recurse once or
+# twice per level, so this keeps them far from the interpreter's limit
+MAX_DEPTH = 200
+
 
 def parse_tree(text: str) -> Tree:
-    """Parse the balanced-parentheses tree format; whitespace is ignored."""
+    """Parse the balanced-parentheses tree format; whitespace is ignored.
+
+    Trees nested more than MAX_DEPTH nodes deep raise InputError.
+    """
     stack: list[list] = []
     root = None
     for ch in text:
         if ch.isspace():
             continue
         if ch == "(":
+            if len(stack) == MAX_DEPTH:
+                raise InputError(f"tree nests deeper than {MAX_DEPTH} levels")
             stack.append([])
         elif ch == ")":
             if not stack:

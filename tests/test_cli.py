@@ -44,6 +44,15 @@ def test_exit_codes(capsys):
     # argparse usage failures also land on 2
     assert run(capsys, "no-such-verb", "1")[0] == 2
     assert run(capsys, "pred")[0] == 2
+    # deep nesting is refused with one error line, not a RecursionError
+    for argv, want in [
+        (("alpha", "1/1000"), 1),
+        (("ord-eval", "(" * 400 + "1" + ")" * 400), 2),
+        (("ord-eval", "w^(" * 300 + "1" + ")" * 300), 2),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (want, "") and err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 def test_version(capsys):
@@ -105,6 +114,13 @@ def test_tree_commands(capsys, tmp_path):
 
     code, _, err = run(capsys, "tree-p", str(tmp_path / "missing.tree"))
     assert code == 2 and "error:" in err
+
+    # a tree nested 2,000 deep is refused at parse time
+    tree_file.write_text("(" * 2000 + ")" * 2000)
+    for verb in ("tree-p", "tree-label"):
+        code, out, err = run(capsys, verb, str(tree_file))
+        assert (code, out) == (2, "") and err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 def test_integer_labeling_verb(capsys, tmp_path):

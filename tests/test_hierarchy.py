@@ -147,8 +147,22 @@ def test_next_below_frozen(hier):
     assert hier.next_below(F(1, 2)) == F(12, 25)
     assert hier.next_below(F(12, 25)) == F(8, 17)
     assert hier.next_below(F(4, 9)) == F(42, 95)
+    # interior points of a segment, neither images nor chain points
+    assert hier.next_below(F(3, 7)) == F(104, 243)
+    assert hier.next_below(F(10, 23)) == F(96, 221)
     with pytest.raises(DomainError):
         hier.next_below(F(9, 10))
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_floor_edge(level):
+    # 1/(L+1) is the lowest constructed member: its bracket is itself, and
+    # the member below it lies under the floor
+    deep = Hierarchy(floor_level=level)
+    edge = F(1, level + 1)
+    assert deep.bracket(edge) == (edge, edge)
+    with pytest.raises(FloorError):
+        deep.next_below(edge)
 
 
 def test_neighbor_consistency(hier):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pfinhier import (
     DomainError,
+    InputError,
     OMEGA,
     alpha_at,
     format_ordinal,
@@ -20,7 +21,7 @@ from pfinhier import (
     ord_sub,
     parse_ordinal,
 )
-from pfinhier.ordinals import from_int
+from pfinhier.ordinals import MAX_NESTING, from_int
 
 ZERO_ORD = from_int(0)
 ONE_ORD = from_int(1)
@@ -117,3 +118,17 @@ def test_alpha_shift_law():
 def test_alpha_unsupported():
     with pytest.raises(DomainError):
         alpha_at(F(11, 20))
+
+
+def test_nesting_bound():
+    # 1/(k+2) is k shifts from 1/2; its value nests k exponents and reads back
+    deepest = alpha_at(F(1, MAX_NESTING + 2))
+    assert parse_ordinal(format_ordinal(deepest)) == deepest
+    assert format_ordinal(deepest).count("(") == MAX_NESTING
+    with pytest.raises(DomainError):
+        alpha_at(F(1, MAX_NESTING + 3))
+    # parentheses, bare exponents and w^(...) each nest one level
+    for opener, core, closer in [("(", "1", ")"), ("w^", "w", ""), ("w^(", "2", ")")]:
+        parse_ordinal(opener * MAX_NESTING + core + closer * MAX_NESTING)
+        with pytest.raises(InputError):
+            parse_ordinal(opener * (MAX_NESTING + 1) + core + closer * (MAX_NESTING + 1))

@@ -21,7 +21,7 @@ from pfinhier import (
     scale_labeling,
     validate_labeling,
 )
-from pfinhier.trees import iter_nodes, leaf_paths
+from pfinhier.trees import MAX_DEPTH, iter_nodes, leaf_paths
 
 from oracles import labeling_feasible
 
@@ -44,6 +44,16 @@ def test_parse_rejects_malformed():
     for bad in ("", "(", "())", "(()", "x", "()()"):
         with pytest.raises(InputError):
             parse_tree(bad)
+
+
+def test_depth_bound():
+    # the deepest accepted tree runs through every recursive procedure
+    deepest = parse_tree("(" * MAX_DEPTH + ")" * MAX_DEPTH)
+    assert p_of_tree(deepest) == 1
+    assert validate_labeling(deepest, integer_labeling(deepest)[2])[0]
+    assert format_tree(deepest) == "(" * MAX_DEPTH + ")" * MAX_DEPTH
+    with pytest.raises(InputError):
+        parse_tree("(" * (MAX_DEPTH + 1) + ")" * (MAX_DEPTH + 1))
 
 
 def test_p_of_tree_examples():
