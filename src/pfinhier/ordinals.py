@@ -226,10 +226,9 @@ def parse_ordinal(text: str) -> Ordinal:
     """Evaluate an ordinal expression over +, -, * and w^(...).
 
     Sums and differences associate left; * binds tighter than + and -, and
-    ^ tighter still. Nesting deeper than MAX_NESTING raises InputError;
-    an exponent counts one level, the parentheses of w^(...) included.
-    The canonical printed form of any ordinal it returns evaluates back
-    to that ordinal.
+    ^ tighter still. Nesting deeper than MAX_NESTING levels of parentheses
+    and exponents raises InputError. The canonical printed form of any
+    ordinal it returns evaluates back to that ordinal.
     """
     scanner = _Scanner(text)
     value = _parse_sum(scanner)
@@ -269,7 +268,7 @@ def _parse_atom(sc: _Scanner) -> Ordinal:
         if sc.peek() != "^":
             return OMEGA
         sc.take()
-        # an exponent is one level; the parentheses of w^(...) count as that level
+        # w^(...) nests one level, which its parentheses count
         return omega_pow(_parse_atom(sc) if sc.peek() == "(" else sc.nest(_parse_atom))
     raise InputError(f"unexpected token {tok!r} in ordinal expression")
 
