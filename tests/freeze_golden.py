@@ -10,6 +10,9 @@ them:
 - the `predecessor` of every successor met in the two lists above;
 - `team_size` and the allocator's team size of every grid member above
   5/12 (5/12 alone would add about 2 s to the replay);
+- `simulate_team` allocations for the traces of acceptance criterion 8
+  (the clamped tree, the pass-through chain and 18 random trees) and for
+  the 24-, 48- and 96-leaf stars of the session benchmark;
 - `xd_minimal` tuples, delta and p0' for x in {3/7, 5/12, 12/25, 1/2}
   at the full budget d = x and at three partial budgets.
 
@@ -24,12 +27,28 @@ The file is not collected by pytest (its name does not start with
 from __future__ import annotations
 
 import json
+import random
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-from pfinhier import Classification, Hierarchy, format_rational
+from pfinhier import (
+    Classification,
+    Hierarchy,
+    MachineTrace,
+    format_labeling,
+    format_rational,
+    format_tree,
+    make_context,
+    p_of_tree,
+    parse_tree,
+    rational_labeling,
+    simulate_team,
+)
 from pfinhier.teams import _allocation_team_size, team_size
+from pfinhier.trees import Labeling, format_path
+
+from test_acceptance import rand_tree
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -38,11 +57,34 @@ GRID_MAX_DEN = 24
 CHAIN_STEPS = 20
 XD_POINTS = (F(3, 7), F(5, 12), F(12, 25), F(1, 2))
 XD_BUDGET_SHARES = (F(1), F(3, 4), F(1, 2), F(1, 4))
+STAR_LEAVES = (24, 48, 96)
 
 
 def grid() -> list[F]:
     values = {F(n, d) for d in range(1, GRID_MAX_DEN + 1) for n in range(1, d + 1)}
     return sorted(v for v in values if v >= GRID_LOW)
+
+
+def team_traces() -> list[MachineTrace]:
+    """Criterion 8's traces, then the stars, each with its success level."""
+    clamped = parse_tree("((()())(()()())((())))")
+    traces = [
+        MachineTrace(tree=clamped, labeling=rational_labeling(clamped)),
+        MachineTrace(tree=parse_tree("(())"), labeling=Labeling(
+            p=F(12, 25), q=F(1),
+            nu1={(): F(12, 25), (0,): F(0)},
+            nu2={(): F(0), (0,): F(12, 25)},
+        )),
+    ]
+    rng = random.Random(825)
+    while len(traces) < 20:
+        tree = rand_tree(rng, 3)
+        if p_of_tree(tree) >= F(12, 25):
+            traces.append(MachineTrace(tree=tree, labeling=rational_labeling(tree)))
+    for n in STAR_LEAVES:
+        star = parse_tree("(" + "()" * n + ")")
+        traces.append(MachineTrace(tree=star, labeling=rational_labeling(star)))
+    return traces
 
 
 def build_corpus(hier: Hierarchy | None = None) -> dict:
@@ -72,6 +114,19 @@ def build_corpus(hier: Hierarchy | None = None) -> dict:
     sizes = {fmt(x): team_size(hier, x) for x in members}
     allocation_sizes = {fmt(x): _allocation_team_size(hier, x) for x in members}
 
+    allocations = []
+    for trace in team_traces():
+        x = trace.labeling.p
+        alloc = simulate_team(make_context(hier, x), trace)
+        allocations.append({
+            "tree": format_tree(trace.tree),
+            "x": fmt(x),
+            "k": alloc.k,
+            "target": alloc.target,
+            "assignment": format_labeling(alloc.assignment).splitlines(),
+            "successes": [f"{format_path(p)}={s}" for p, s in sorted(alloc.successes.items())],
+        })
+
     xd = []
     for x in XD_POINTS:
         for share in XD_BUDGET_SHARES:
@@ -92,6 +147,7 @@ def build_corpus(hier: Hierarchy | None = None) -> dict:
         "predecessor": predecessor,
         "team_size": sizes,
         "allocation_team_size": allocation_sizes,
+        "simulate_team": allocations,
         "xd_minimal": xd,
     }
 
