@@ -16,15 +16,16 @@ value reads back and recursion stays far from the interpreter's limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 from .errors import ConsistencyError, DomainError, InputError
 from .rationals import HALF, ZERO, ExactRational
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ordinal:
+    """Comparisons walk the exponent spine with an explicit stack, so
+    towers of any height compare without deep recursion."""
+
     terms: tuple[tuple["Ordinal", int], ...] = ()
 
     def __post_init__(self):
@@ -49,13 +50,50 @@ class Ordinal:
             raise DomainError(f"not a finite ordinal: {self}")
         return self.terms[0][1] if self.terms else 0
 
-    def __lt__(self, other: "Ordinal") -> bool:
-        for (ea, ca), (eb, cb) in zip(self.terms, other.terms):
-            if ea != eb:
-                return ea < eb
+    def _compare(self, other: "Ordinal") -> int:
+        """-1, 0 or 1 as self is below, equal to or above other.
+
+        Terms compare lexicographically, exponent first. A frame (ta, tb,
+        i, exp_done) resumes two term lists at term i; comparing two
+        exponents pushes a frame for them above their parents' resumption,
+        and any difference found decides the whole comparison.
+        """
+        stack = [(self.terms, other.terms, 0, False)]
+        while stack:
+            ta, tb, i, exp_done = stack.pop()
+            if i == len(ta) or i == len(tb):
+                if len(ta) != len(tb):
+                    return -1 if len(ta) < len(tb) else 1
+                continue
+            (ea, ca), (eb, cb) = ta[i], tb[i]
+            if not exp_done and ea is not eb:
+                stack.append((ta, tb, i, True))
+                stack.append((ea.terms, eb.terms, 0, False))
+                continue
             if ca != cb:
-                return ca < cb
-        return len(self.terms) < len(other.terms)
+                return -1 if ca < cb else 1
+            stack.append((ta, tb, i + 1, False))
+        return 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return self is other or self._compare(other) == 0
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __lt__(self, other: "Ordinal") -> bool:
+        return self._compare(other) < 0
+
+    def __le__(self, other: "Ordinal") -> bool:
+        return self._compare(other) <= 0
+
+    def __gt__(self, other: "Ordinal") -> bool:
+        return self._compare(other) > 0
+
+    def __ge__(self, other: "Ordinal") -> bool:
+        return self._compare(other) >= 0
 
     def __str__(self) -> str:
         return format_ordinal(self)

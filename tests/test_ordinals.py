@@ -21,7 +21,7 @@ from pfinhier import (
     ord_sub,
     parse_ordinal,
 )
-from pfinhier.ordinals import MAX_NESTING, from_int
+from pfinhier.ordinals import MAX_NESTING, Ordinal, from_int
 
 ZERO_ORD = from_int(0)
 ONE_ORD = from_int(1)
@@ -132,3 +132,17 @@ def test_nesting_bound():
         parse_ordinal(opener * MAX_NESTING + core + closer * MAX_NESTING)
         with pytest.raises(InputError):
             parse_ordinal(opener * (MAX_NESTING + 1) + core + closer * (MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("height", [200, 2000])
+def test_towers_compare_and_add_without_recursion(height):
+    # w^(w^(...^(w))) against w^(w^(...^(2))): the spines differ only at the top
+    a, b, a2 = OMEGA, from_int(2), OMEGA
+    for _ in range(height):
+        a, b, a2 = omega_pow(a), omega_pow(b), omega_pow(a2)
+    assert b < a and not a < b and a > b and b <= a and a >= b
+    assert a == a2 and a != b and not a < a2 and a <= a2
+    assert ord_add(b, a) == a
+    total = ord_add(a, b)
+    assert total > a and total.terms == a.terms + b.terms
+    assert ord_add(a2, a) == Ordinal(((a.terms[0][0], 2),))
