@@ -17,9 +17,11 @@ predecessor); limit members are approached from above by computable
 strictly decreasing sequences.
 
 All queries live on a Hierarchy object, which memoizes classifications,
-segments, governing floors, predecessors, limit sequences, brackets,
-neighbors and minimal sets per instance. A memoized limit sequence keeps
-every term it has computed, for all later callers.
+segments, governing floors, predecessors, limit sequences, brackets and
+neighbors per instance. It also owns the minimal-set tables, one per
+(x, floor), each set stored once for the whole interval of budgets that
+yields it. A memoized limit sequence keeps every term it has computed,
+for all later callers.
 Queries below the configured floor level raise FloorError instead of
 recursing without bound.
 """

@@ -4,15 +4,19 @@ from functools import wraps
 
 
 def memoized(guard):
-    """Cache fn(owner, *args) on owner, keyed by args.
+    """Cache fn(owner, *args) on owner, keyed by its exact-rational args.
 
-    A one-argument procedure is keyed by the argument itself, so its hits
-    allocate nothing.
+    A rational is keyed by its integer (numerator, denominator) pair, and
+    a procedure of several rationals by the tuple of their pairs: hashing
+    a Fraction itself runs a modular inverse on every call, while a pair
+    of ints hashes cheaply. Fractions are kept in lowest terms, so equal
+    values give equal pairs.
 
-    guard(owner, *args) runs on every call, before the lookup, and raises
-    on input the procedure refuses. The order matters: 0.5 and True hash
-    and compare equal to Fraction(1, 2) and Fraction(1), so a lookup ahead
-    of the guard would answer them from a warm cache.
+    guard(owner, *args) runs on every call, before the key is built, and
+    raises on input the procedure refuses. The order matters: every
+    argument must be an exact rational by the time its pair is read, and
+    0.5 and True, which equal Fraction(1, 2) and Fraction(1), must never
+    be answered from a warm cache.
 
     Each owner holds one dict per decorated procedure, created on its
     first miss, so answers never cross owners: two hierarchies with
@@ -25,22 +29,24 @@ def memoized(guard):
         if fn.__code__.co_argcount == 2:
             def lookup(owner, arg):
                 guard(owner, arg)
+                key = arg._numerator, arg._denominator
                 try:
-                    return getattr(owner, slot)[arg]
+                    return getattr(owner, slot)[key]
                 except (AttributeError, KeyError):
                     pass
                 result = fn(owner, arg)
-                vars(owner).setdefault(slot, {})[arg] = result
+                vars(owner).setdefault(slot, {})[key] = result
                 return result
         else:
             def lookup(owner, *args):
                 guard(owner, *args)
+                key = tuple([(a._numerator, a._denominator) for a in args])
                 try:
-                    return getattr(owner, slot)[args]
+                    return getattr(owner, slot)[key]
                 except (AttributeError, KeyError):
                     pass
                 result = fn(owner, *args)
-                vars(owner).setdefault(slot, {})[args] = result
+                vars(owner).setdefault(slot, {})[key] = result
                 return result
 
         return wraps(fn)(lookup)

@@ -13,24 +13,26 @@ find_smallest answers "what is the next achievable contribution total
 strictly above d" for the limit-element advance.
 
 Functions take the hierarchy handle explicitly; it must provide classify,
-predecessor, bracket and next_below. xd_minimal caches its sets on the
-handle, one cache per instance, and so does the per-(x, floor) pair
-(p0', delta) that every budget of the same x shares.
+predecessor, bracket and next_below. Each handle keeps one budget table
+per (x, floor): the pair (p0', delta) that every budget of that x shares,
+and the sets found so far, each stored once for the whole interval of
+budgets that yields it (see xd_minimal).
 
 The arithmetic is exact and integer-based: the walk keeps each
 contribution as an integer numerator/denominator pair and compares by
-cross-multiplication, building a Fraction only for the recursive budget.
-Budgets below delta admit no tuple and return the empty set before any
-walk starts.
+cross-multiplication, building a Fraction only for the recursive budget
+and for each stored set's largest total. Budgets below delta admit no
+tuple and return the empty set before any table lookup.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, InputError
 from .memo import memoized
-from .rationals import ExactRational, ONE, ascending_key
+from .rationals import ExactRational, ONE, ZERO, ascending_key
 from .rules import contribution
 
 Components = tuple[ExactRational, ...]
@@ -38,12 +40,17 @@ Components = tuple[ExactRational, ...]
 
 @dataclass(frozen=True)
 class MinimalSet:
+    """An (x, d)-minimal set; lo is the largest contribution total among
+    its tuples (0 when there are none), and every budget in [lo, d] has
+    the same set."""
+
     x: ExactRational
     d: ExactRational
     floor: ExactRational
     delta: ExactRational
     p0_prime: ExactRational
     tuples: tuple[Components, ...]
+    lo: ExactRational
 
     def __contains__(self, item) -> bool:
         return tuple(item) in self.tuples
@@ -65,10 +72,62 @@ def with_component(T: Components, y: ExactRational) -> Components:
     return T + (y,)
 
 
+class _BudgetTable:
+    """What every budget of one (x, floor) shares, and the sets found so far.
+
+    entries ascend by lo and hold (lo, dmax, tuples): the set for every
+    budget in [lo, dmax]. lows[i] is the float of entries[i]'s lo, for
+    bisection.
+    """
+
+    __slots__ = ("p0_prime", "delta", "lows", "entries")
+
+    def __init__(self, p0_prime: ExactRational, delta: ExactRational):
+        self.p0_prime = p0_prime
+        self.delta = delta
+        self.lows: list[float] = []
+        self.entries: list[tuple] = []
+
+    def _last_at_or_below(self, v: ExactRational) -> int:
+        """Index of the last entry whose lo is <= v, or -1."""
+        vn, vd = v.numerator, v.denominator
+        i = bisect_right(self.lows, vn / vd) - 1
+        entries = self.entries
+        # floats of distinct values can tie (see ascending_key): step back
+        # past entries that sort with v's float but exceed v
+        while i >= 0 and entries[i][0].numerator * vd > vn * entries[i][0].denominator:
+            i -= 1
+        return i
+
+    def lookup(self, d: ExactRational):
+        """(tuples, lo) of the entry whose interval holds d, or None."""
+        i = self._last_at_or_below(d)
+        if i < 0:
+            return None
+        lo, dmax, tuples = self.entries[i]
+        if d.numerator * dmax.denominator > dmax.numerator * d.denominator:
+            return None
+        return tuples, lo
+
+    def record(self, d: ExactRational, tuples, lo: ExactRational) -> None:
+        """Store the set walked at d: widen the entry with lo, or add one."""
+        i = self._last_at_or_below(lo)
+        if i >= 0 and self.entries[i][0] == lo:
+            if self.entries[i][2] != tuples:
+                raise ConsistencyError(
+                    f"budgets {self.entries[i][1]} and {d} share lo {lo} but not their sets"
+                )
+            self.entries[i] = (lo, d, self.entries[i][2])
+        else:
+            self.entries.insert(i + 1, (lo, d, tuples))
+            self.lows.insert(i + 1, lo.numerator / lo.denominator)
+
+
 @memoized(lambda hier, x, floor: None)  # called by xd_minimal after its guard
-def _p0_prime_delta(hier, x: ExactRational, floor: ExactRational):
-    """(p0', delta): the largest member of [floor, 1] with strictly positive
-    contribution, and that contribution, the least any component adds."""
+def _budget_table(hier, x: ExactRational, floor: ExactRational) -> _BudgetTable:
+    """The table of (x, floor), with (p0', delta): the largest member of
+    [floor, 1] with strictly positive contribution, and that contribution,
+    the least any component adds."""
     xn, xd = x.numerator, x.denominator
     if 2 * xn > xd:  # x == 1 or x/(1-x) > 1
         p0p = ONE
@@ -81,7 +140,7 @@ def _p0_prime_delta(hier, x: ExactRational, floor: ExactRational):
     delta = contribution(x, p0p)
     if delta <= 0:
         raise ConsistencyError(f"delta must be positive, got {delta}")
-    return p0p, delta
+    return _BudgetTable(p0p, delta)
 
 
 def _smallest_with_contribution_at_most(hier, x, floor, bound):
@@ -129,17 +188,20 @@ def find_smallest(hier, P: MinimalSet, x: ExactRational, d: ExactRational):
     return best
 
 
-def _check_budget(hier, x, d, floor) -> None:
-    if not (isinstance(x, ExactRational) and isinstance(d, ExactRational)):
+def _check_budget(x, d, floor) -> None:
+    if not (
+        isinstance(x, ExactRational) and isinstance(d, ExactRational)
+        and isinstance(floor, ExactRational)
+    ):
         raise InputError(
-            f"expected exact rationals, got {type(x).__name__} and {type(d).__name__}"
+            "expected exact rationals, got "
+            f"{type(x).__name__}, {type(d).__name__} and {type(floor).__name__}"
         )
     dn = d.numerator
     if dn < 0 or dn * x.denominator > x.numerator * d.denominator:
         raise InputError(f"budget d must lie in [0, x]: d={d}, x={x}")
 
 
-@memoized(_check_budget)
 def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -> MinimalSet:
     """Compute an (x, d)-minimal set over components in [floor, 1].
 
@@ -149,17 +211,60 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
     tuple of the recursive set by y. Successor y's advance by one member;
     limit y's jump to the smallest member whose contribution fits under
     d minus the next achievable total of the inner set.
-    """
-    p0p, delta = _p0_prime_delta(hier, x, floor)
-    xn, xd = x.numerator, x.denominator
-    dn, dd = d.numerator, d.denominator
-    en, ed = delta.numerator, delta.denominator
-    if dn * ed < en * dd:  # d < delta: no component fits
-        return MinimalSet(x=x, d=d, floor=floor, delta=delta, p0_prime=p0p, tuples=())
 
+    One walk answers a whole interval of budgets. Call a total achievable
+    when some tuple of members in [floor, 1], each with a positive
+    contribution, reaches it; budget d allows the tuples whose total is
+    at most d. Let lo be the largest total among the tuples stored for d.
+
+    1. No achievable total lies in (lo, d]. A tuple allowed at d is
+       dominated from below by a stored tuple of the same length, and
+       c(x, p) falls as p rises, so its total is at most the stored
+       tuple's, which is at most lo. So every budget in [lo, d] allows
+       the same tuples as d.
+    2. The walk depends on d only through the tuples d allows. Its first
+       component is the smallest member whose singleton fits; the inner
+       budget d - c(x, y) allows exactly the tuples that fit beside y;
+       a limit jump compares d - c(x, y) with totals of inner tuples and
+       then picks the smallest member y' with c(x, y') <= d - t for the
+       next total t. Each choice compares d with an achievable total
+       (a singleton, an inner total plus c(x, y), t plus c(x, y')), so
+       none changes while d stays in an interval free of them. By
+       induction on the recursion, whose budget drops by at least delta
+       per level, budgets that allow the same tuples walk to the same set.
+
+    So the set stored for a walked budget dmax answers every budget in
+    [lo, dmax]. The table of (x, floor) keeps one entry [lo, dmax] per
+    set, dmax the largest budget walked to it, and answers any budget in
+    an entry's interval without walking; a budget outside them is walked
+    and widens the entry with its lo or adds one. lo is summed during the
+    walk, in integers, as max over y of c(x, y) + lo(inner).
+    """
+    _check_budget(x, d, floor)
+    table = _budget_table(hier, x, floor)
+    delta = table.delta
+    if d.numerator * delta.denominator < delta.numerator * d.denominator:
+        tuples, lo = (), ZERO  # d < delta: no component fits
+    else:
+        found = table.lookup(d)
+        if found is None:
+            found = _walk(hier, table, x, d, floor)
+            table.record(d, *found)
+        tuples, lo = found
+    return MinimalSet(
+        x=x, d=d, floor=floor, delta=delta, p0_prime=table.p0_prime, tuples=tuples, lo=lo
+    )
+
+
+def _walk(hier, table: _BudgetTable, x, d, floor):
+    """The walk of xd_minimal at d >= delta: (tuples, lo)."""
     from .hierarchy import Classification  # import cycle: hierarchy imports this module
 
+    xn, xd = x.numerator, x.denominator
+    dn, dd = d.numerator, d.denominator
+    en, ed = table.delta.numerator, table.delta.denominator
     collected: list[Components] = []
+    lo_n, lo_d = 0, 1
     y = _smallest_with_contribution_at_most(hier, x, floor, d)
     if y is None:
         raise ConsistencyError("no starting component despite d >= delta")
@@ -182,6 +287,11 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
         else:
             for T in inner.tuples:
                 collected.append(with_component(T, y))
+        # the largest total through y: c(x, y) + lo(inner)
+        iln, ild = inner.lo.numerator, inner.lo.denominator
+        tn, td = cn * ild + iln * cd, cd * ild
+        if tn * lo_d > lo_n * td:
+            lo_n, lo_d = tn, td
         cls = hier.classify(y)
         prev_y = y
         if cls is Classification.MAXIMAL:
@@ -201,7 +311,7 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
     canonical = tuple(
         T for i, T in enumerate(collected) if i == 0 or T != collected[i - 1]
     )
-    return MinimalSet(x=x, d=d, floor=floor, delta=delta, p0_prime=p0p, tuples=canonical)
+    return canonical, ExactRational(lo_n, lo_d)
 
 
 def prune_dominated(tuples) -> tuple[Components, ...]:

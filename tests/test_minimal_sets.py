@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from pfinhier import (
+    Hierarchy,
     InputError,
     apply_rule,
     component_pool,
@@ -13,7 +14,7 @@ from pfinhier import (
     find_smallest,
     prune_dominated,
 )
-from pfinhier.minimal_sets import xd_minimal
+from pfinhier.minimal_sets import _budget_table, xd_minimal
 
 from oracles import base_members, dominated_by_some, sample_allowed_tuples
 
@@ -62,6 +63,9 @@ def test_budget_guard(hier):
         hier.xd_minimal(F(1, 2), 0.5)
     with pytest.raises(InputError):
         hier.xd_minimal(F(1, 2), False)
+    # the floor is part of the table key, so it is checked too
+    with pytest.raises(InputError):
+        xd_minimal(hier, F(1, 2), F(1, 2), 0.5)
 
 
 def test_find_smallest_advances(hier):
@@ -130,3 +134,37 @@ def test_prune_dominated():
 def test_component_pool(hier):
     ms = P(hier, F(12, 25), F(12, 25))
     assert component_pool(ms) == (F(1, 2), F(3, 5), F(2, 3))
+
+
+REUSE_POINTS = [F(3, 7), F(5, 12), F(12, 25), F(10, 23)]
+REUSE_STEPS = 48
+
+
+@pytest.mark.parametrize("x", REUSE_POINTS, ids=str)
+def test_interval_reuse_matches_fresh_walks(x):
+    # Each budget x*k/48 is answered once by a fresh Hierarchy, which walks
+    # it, and then by warm ones that answer most budgets from an earlier
+    # walk's interval, in both query orders.
+    budgets = [x * k / REUSE_STEPS for k in range(REUSE_STEPS + 1)]
+    fresh = {d: P(Hierarchy(floor_level=4), x, d).tuples for d in budgets}
+    for order in (budgets + budgets[::-1], budgets[::-1] + budgets):
+        warm = Hierarchy(floor_level=4)
+        for d in order:
+            ms = P(warm, x, d)
+            assert ms.d == d and ms.tuples == fresh[d], (x, d)
+            assert ms.lo <= d
+
+
+def test_budget_tables_stay_per_floor():
+    x = F(12, 25)
+    h = Hierarchy(floor_level=4)
+    governed = xd_minimal(h, x, x, F(1, 2))
+    # a lower floor admits the identity singleton the governing floor excludes
+    lower = xd_minimal(h, x, x, x)
+    assert (x,) not in governed and (x,) in lower
+    assert _budget_table(h, x, F(1, 2)) is not _budget_table(h, x, x)
+    assert xd_minimal(h, x, x, F(1, 2)).tuples == governed.tuples
+    # hierarchies with different floor levels keep their own tables
+    other = Hierarchy(floor_level=2)
+    assert P(other, x, x).tuples == governed.tuples
+    assert _budget_table(other, x, F(1, 2)) is not _budget_table(h, x, F(1, 2))
