@@ -7,7 +7,10 @@ them:
 - `classify` and `bracket` of every rational in [5/12, 1] with
   denominator at most 24;
 - a 20-step `next_below` chain from 1/2;
-- the `predecessor` of every successor met in the two lists above;
+- the `predecessor` of every successor met in the two lists above, and
+  of every successor component of `xd_minimal(x, x)` for x in {3/7,
+  5/12, 12/25, 7/17} (117 members, most with denominators beyond the
+  grid's);
 - `team_size` and the allocator's team size of every grid member above
   5/12 (5/12 alone would add about 2 s to the replay);
 - `simulate_team` allocations for the traces of acceptance criterion 8
@@ -57,6 +60,7 @@ GRID_MAX_DEN = 24
 CHAIN_STEPS = 20
 XD_POINTS = (F(3, 7), F(5, 12), F(12, 25), F(1, 2))
 XD_BUDGET_SHARES = (F(1), F(3, 4), F(1, 2), F(1, 4))
+COMPONENT_POINTS = (F(3, 7), F(5, 12), F(12, 25), F(7, 17))
 STAR_LEAVES = (24, 48, 96)
 
 
@@ -108,6 +112,11 @@ def build_corpus(hier: Hierarchy | None = None) -> dict:
     for _ in range(CHAIN_STEPS):
         chain.append(hier.next_below(chain[-1]))
     successors.update(u for u in chain if hier.classify(u) is Classification.SUCCESSOR)
+    for x in COMPONENT_POINTS:
+        successors.update(
+            c for T in hier.xd_minimal(x, x).tuples for c in T
+            if hier.classify(c) is Classification.SUCCESSOR
+        )
 
     predecessor = {fmt(x): fmt(hier.predecessor(x)) for x in sorted(successors)}
 
