@@ -15,7 +15,7 @@ value reads back and recursion stays far from the interpreter's limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError, InputError
 from .rationals import HALF, ZERO, ExactRational
@@ -23,10 +23,13 @@ from .rationals import HALF, ZERO, ExactRational
 
 @dataclass(frozen=True, eq=False)
 class Ordinal:
-    """Comparisons walk the exponent spine with an explicit stack, so
-    towers of any height compare without deep recursion."""
+    """Comparisons walk the exponent spine with an explicit stack, and
+    the hash is computed once, at construction, from the exponents'
+    stored hashes, so towers of any height compare and hash without
+    deep recursion."""
 
     terms: tuple[tuple["Ordinal", int], ...] = ()
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         prev = None
@@ -36,6 +39,7 @@ class Ordinal:
             if prev is not None and not exp < prev:
                 raise ConsistencyError("exponents must be strictly decreasing")
             prev = exp
+        object.__setattr__(self, "_hash", hash(self.terms))
 
     @property
     def is_zero(self) -> bool:
@@ -81,7 +85,7 @@ class Ordinal:
         return self is other or self._compare(other) == 0
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return self._hash
 
     def __lt__(self, other: "Ordinal") -> bool:
         return self._compare(other) < 0
@@ -197,20 +201,33 @@ def nat_mul(a: Ordinal, b: Ordinal) -> Ordinal:
 
 
 def format_ordinal(o: Ordinal) -> str:
-    """Canonical text form, e.g. "0", "3", "w*2+1", "w^(w)+w*2+3"."""
-    if o.is_zero:
-        return "0"
-    parts = []
-    for exp, coeff in o.terms:
-        if exp.is_zero:
-            parts.append(str(coeff))
+    """Canonical text form, e.g. "0", "3", "w*2+1", "w^(w)+w*2+3".
+
+    Iterative: the stack holds finished text and ordinals still to print,
+    so a tower of any height prints without deep recursion.
+    """
+    out = []
+    stack = [o]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
             continue
-        if exp == ORD_ONE:
-            head = "w"
-        else:
-            head = f"w^({format_ordinal(exp)})"
-        parts.append(head if coeff == 1 else f"{head}*{coeff}")
-    return "+".join(parts)
+        if item.is_zero:
+            out.append("0")
+            continue
+        pieces = []
+        for exp, coeff in item.terms:
+            if pieces:
+                pieces.append("+")
+            if exp.is_zero:
+                pieces.append(str(coeff))
+                continue
+            pieces += ["w"] if exp == ORD_ONE else ["w^(", exp, ")"]
+            if coeff != 1:
+                pieces.append(f"*{coeff}")
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 class _Scanner:

@@ -146,3 +146,9 @@ def test_towers_compare_and_add_without_recursion(height):
     total = ord_add(a, b)
     assert total > a and total.terms == a.terms + b.terms
     assert ord_add(a2, a) == Ordinal(((a.terms[0][0], 2),))
+    assert hash(a) == hash(a2) and len({a, a2, b}) == 2
+    assert format_ordinal(a) == "w^(" * height + "w" + ")" * height
+    assert format_ordinal(b) == "w^(" * height + "2" + ")" * height
+    assert nat_add(a, b) == nat_add(b, a) == total
+    (ea, _), (eb, _) = a.terms[0], b.terms[0]
+    assert nat_mul(a, b) == nat_mul(b, a) == omega_pow(nat_add(ea, eb))
