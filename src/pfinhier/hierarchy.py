@@ -22,6 +22,13 @@ neighbors per instance. It also owns the minimal-set tables, one per
 (x, floor), each set stored once for the whole interval of budgets that
 yields it. A memoized limit sequence keeps every term it has computed,
 for all later callers.
+
+Each Hierarchy also keeps one object per member value: predecessors,
+brackets, neighbors and limit-sequence terms pass through its intern
+table, keyed on (numerator, denominator), before they are handed out.
+Equal members it returns are then the same object, so comparing and
+sorting the minimal-set tuples built from them settles on identity
+instead of Fraction equality. Two hierarchies share no such table.
 Queries below the configured floor level raise FloorError instead of
 recursing without bound.
 """
@@ -31,11 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop
 
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
 from .memo import memoized
-from .rationals import ExactRational, HALF, ONE, ZERO, ascending_key
+from .rationals import ExactRational, HALF, ONE, ZERO
 from .rules import apply_rule, h_inverse, h_map, is_valid_application
 
 
@@ -99,6 +107,32 @@ class LimitSequence:
         return [self.term(k) for k in range(n)]
 
 
+def _pooled_variants(T, lower_of):
+    """Pooled values of the variants of the ascending member tuple T.
+
+    Yields unreduced integer pairs (num, den): for T itself, for T with
+    one component dropped (while one remains), and for T with a component
+    p replaced by lower_of(p) wherever that is not None. A variant of k
+    components whose reciprocals sum to n/d pools to k*d / ((k - 1)*d + n),
+    so one integer sum over T gives every variant in O(1).
+    """
+    s = len(T)
+    sn, sd = 0, 1
+    for p in T:
+        sn, sd = sn * p.numerator + sd * p.denominator, sd * p.numerator
+    yield s * sd, (s - 1) * sd + sn
+    for p in T:
+        pn, pd = p.numerator, p.denominator
+        rn, rd = sn * pn - pd * sd, sd * pn  # p dropped
+        if s > 1:
+            yield (s - 1) * rd, (s - 2) * rd + rn
+        q = lower_of(p)
+        if q is not None:
+            qn, qd = q.numerator, q.denominator
+            n, d = rn * qn + qd * rd, rd * qn
+            yield s * d, (s - 1) * d + n
+
+
 class Hierarchy:
     """Memoized query surface over the constructed levels."""
 
@@ -106,6 +140,11 @@ class Hierarchy:
         if floor_level < 1:
             raise InputError(f"floor level must be at least 1: {floor_level}")
         self.floor_level = floor_level
+        self._members: dict[tuple[int, int], ExactRational] = {}
+
+    def _member(self, value: ExactRational) -> ExactRational:
+        """This hierarchy's one object for the member value."""
+        return self._members.setdefault((value._numerator, value._denominator), value)
 
     # ---- guards ----
 
@@ -189,6 +228,23 @@ class Hierarchy:
 
     @memoized(_check)
     def predecessor(self, x: ExactRational) -> ExactRational:
+        """The member immediately above the successor x.
+
+        Above 1/2 it is the closed form (n-1)/(2n-3). Below, the candidates
+        are the pooled values of three kinds of variant of each tuple T of
+        the (x, x)-minimal set: T itself, T with one component dropped
+        (while one remains), and T with one successor component replaced
+        by its predecessor. Candidates above x are tried in ascending
+        order, and the first member is the answer.
+
+        Each variant's value follows in O(1) from T's reciprocal sum, taken
+        once in integers (_pooled_variants), and is compared with x by
+        cross-multiplication. Candidates leave a heap keyed on their
+        floats. Distinct values can round to the same float, and trying the
+        larger of two tied members first would return a member that is not
+        the next one above x, so each run of equal floats is sorted exactly
+        before any of it is tried.
+        """
         cls = self.classify(x)
         if cls is not Classification.SUCCESSOR:
             kind = {
@@ -199,32 +255,34 @@ class Hierarchy:
             raise DomainError(f"no predecessor: {x} is {kind}")
         if x > HALF:
             n = x.numerator
-            return ExactRational(n - 1, 2 * (n - 1) - 1)
-        P = self.xd_minimal(x, x)
-        # The rule is symmetric, so each sorted variant is pooled once. The
-        # components are memoized answers, so equal ones are nearly always
-        # the same object: keying on identities finds the repeats without
-        # hashing Fractions, which costs more than pooling twice.
-        variants = {}
-        for T in P.tuples:
-            found = [T]
-            for j in range(len(T)):
-                rest = T[:j] + T[j + 1:]
-                if self.classify(T[j]) is Classification.SUCCESSOR:
-                    found.append(minimal_sets.with_component(rest, self.predecessor(T[j])))
-                if rest:
-                    found.append(rest)
-            for V in found:
-                variants[tuple(map(id, V))] = V
+            return self._member(ExactRational(n - 1, 2 * (n - 1) - 1))
+        lower = {}  # (numerator, denominator) of a component -> its predecessor or None
+
+        def lower_of(p):
+            key = p.numerator, p.denominator
+            if key not in lower:
+                lower[key] = (
+                    self.predecessor(p) if self.classify(p) is Classification.SUCCESSOR else None
+                )
+            return lower[key]
+
         xn, xd = x.numerator, x.denominator
-        candidates = []
-        for V in variants.values():
-            value = apply_rule(V)
-            if value.numerator * xd > xn * value.denominator:
-                candidates.append(value)
-        for value in sorted(candidates, key=ascending_key):
-            if self.classify(value) is not Classification.NOT_MEMBER:
-                return value
+        above = []
+        for T in self.xd_minimal(x, x).tuples:
+            for num, den in _pooled_variants(T, lower_of):
+                if num * xd > xn * den:
+                    above.append((num / den, num, den))
+        heapify(above)
+        while above:
+            # equal floats may hide distinct values: order them exactly
+            f = above[0][0]
+            tied = []
+            while above and above[0][0] == f:
+                _, num, den = heappop(above)
+                tied.append(ExactRational(num, den))
+            for value in sorted(tied):
+                if self.classify(value) is not Classification.NOT_MEMBER:
+                    return self._member(value)
         raise ConsistencyError(f"no member candidate above successor {x}")
 
     # ---- limit sequences ----
@@ -234,12 +292,12 @@ class Hierarchy:
         if self.classify(x) is not Classification.LIMIT:
             raise DomainError(f"limit sequences exist for limit elements only, got {x}")
         if x == HALF:
-            return LimitSequence(lambda k: ExactRational(k + 1, 2 * k + 1))
+            return LimitSequence(lambda k: self._member(ExactRational(k + 1, 2 * k + 1)))
         t = h_inverse(x)
         t_cls = self.classify(t)
         if t_cls is Classification.LIMIT:
             inner = self.limit_sequence(t)
-            return LimitSequence(lambda k: h_map(inner.term(k)))
+            return LimitSequence(lambda k: self._member(h_map(inner.term(k))))
         if t_cls in (Classification.SUCCESSOR, Classification.MAXIMAL):
             if t_cls is Classification.MAXIMAL:
                 raise ConsistencyError("image of the maximum is 1/2, handled above")
@@ -261,7 +319,9 @@ class Hierarchy:
 
     def _r_sequence(self, p: ExactRational, r0: ExactRational) -> LimitSequence:
         # raw(k) runs once, after term k - 1 was accepted, and never skips
-        seq = LimitSequence(lambda k: apply_rule((p, seq.term(k - 1))) if k else r0)
+        seq = LimitSequence(
+            lambda k: self._member(apply_rule((p, seq.term(k - 1))) if k else r0)
+        )
         return seq
 
     def _substituted_sequence(self, template, slot, component_seq, upper_bound):
@@ -277,7 +337,7 @@ class Hierarchy:
             value = apply_rule(tup)
             if value > upper_bound or not is_valid_application(tup):
                 return None
-            return value
+            return self._member(value)
 
         return LimitSequence(raw)
 
@@ -288,14 +348,14 @@ class Hierarchy:
         """Largest member <= p and smallest member >= p."""
         if p.numerator == 1:
             # every 1/k is a member: 1, 1/2, and the images of 1/(k-1)
+            p = self._member(p)
             return p, p
         if p > HALF:
             n_star = math.floor(p / (2 * p - 1))
-            f2 = ExactRational(n_star, 2 * n_star - 1)
+            f2 = self._member(ExactRational(n_star, 2 * n_star - 1))
             if f2 == p:
-                return p, p
-            f1 = ExactRational(n_star + 1, 2 * n_star + 1)
-            return f1, f2
+                return f2, f2
+            return self._member(ExactRational(n_star + 1, 2 * n_star + 1)), f2
         return self._climb(p, strict=False)
 
     def _climb(self, p: ExactRational, strict: bool):
@@ -306,10 +366,10 @@ class Hierarchy:
         finite, so the climb ends.
         """
         below = p.__gt__ if strict else p.__ge__
-        cur = ExactRational(1, p.denominator // p.numerator + 1)
+        cur = self._member(ExactRational(1, p.denominator // p.numerator + 1))
         while True:
             if cur == p:
-                return p, p
+                return cur, cur
             cls = self.classify(cur)
             if cls is Classification.SUCCESSOR:
                 nxt = self.predecessor(cur)
@@ -333,7 +393,7 @@ class Hierarchy:
             raise DomainError(f"next_below needs a member, got {u}")
         if u > HALF:
             n = u.numerator
-            return ExactRational(n + 1, 2 * n + 1)
+            return self._member(ExactRational(n + 1, 2 * n + 1))
         lo, hi = self._climb(u, strict=True)
         if hi != u:
             raise ConsistencyError(f"the member above next_below({u}) = {lo} is {hi}")

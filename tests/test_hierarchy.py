@@ -12,7 +12,9 @@ from pfinhier import (
     FloorError,
     Hierarchy,
     InputError,
+    apply_rule,
 )
+from pfinhier.hierarchy import _pooled_variants
 
 # rationals kept above the chain segment, where every query is cheap
 fast_zone = st.fractions(min_value=F(4, 9), max_value=F(1), max_denominator=120)
@@ -83,6 +85,41 @@ def test_predecessor_chain(hier):
     assert hier.predecessor(F(8, 17)) == F(12, 25)
     assert hier.predecessor(F(20, 43)) == F(8, 17)
     assert hier.predecessor(F(42, 95)) == F(4, 9)
+
+
+def test_members_are_interned_per_hierarchy():
+    # one object per member value inside a hierarchy, none shared across two
+    points = (F(3, 7), F(5, 12), F(12, 25), F(7, 17))
+    hier = Hierarchy(floor_level=4)
+    hier.classify(F(7, 17))
+    seen = {}
+    for x in points:
+        for T in hier.xd_minimal(x, x).tuples:
+            for c in T:
+                assert seen.setdefault(c, c) is c
+    other = Hierarchy(floor_level=4)
+    for x in points:
+        for T in other.xd_minimal(x, x).tuples:
+            for c in T:
+                assert c == seen[c] and c is not seen[c]
+
+
+def test_pooled_variants_match_apply_rule(hier):
+    # the integer shortcut against pooling every variant tuple outright
+    x = F(7, 17)
+
+    def lower_of(p):
+        return hier.predecessor(p) if hier.classify(p) is Classification.SUCCESSOR else None
+
+    for T in hier.xd_minimal(x, x).tuples:
+        expected = [apply_rule(T)]
+        for j, p in enumerate(T):
+            rest = T[:j] + T[j + 1:]
+            if rest:
+                expected.append(apply_rule(rest))
+            if lower_of(p) is not None:
+                expected.append(apply_rule(rest + (lower_of(p),)))
+        assert [F(n, d) for n, d in _pooled_variants(T, lower_of)] == expected
 
 
 def test_predecessor_domain(hier):
