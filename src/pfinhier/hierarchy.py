@@ -35,7 +35,6 @@ recursing without bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop
@@ -44,7 +43,7 @@ from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
 from .memo import memoized
 from .rationals import ExactRational, HALF, ONE, ZERO
-from .rules import apply_rule, h_inverse, h_map, is_valid_application
+from .rules import apply_rule, h_inverse, h_map, is_valid_application, reciprocal_sum
 
 
 class Classification(Enum):
@@ -107,6 +106,14 @@ class LimitSequence:
         return [self.term(k) for k in range(n)]
 
 
+def _generates(T, x: ExactRational) -> bool:
+    """Whether apply_rule(T) == x: T's k reciprocals sum to k/x - (k - 1)."""
+    k = len(T)
+    sn, sd = reciprocal_sum(T)
+    xn, xd = x.numerator, x.denominator
+    return sn * xn == (k * xd - (k - 1) * xn) * sd
+
+
 def _pooled_variants(T, lower_of):
     """Pooled values of the variants of the ascending member tuple T.
 
@@ -117,9 +124,7 @@ def _pooled_variants(T, lower_of):
     so one integer sum over T gives every variant in O(1).
     """
     s = len(T)
-    sn, sd = 0, 1
-    for p in T:
-        sn, sd = sn * p.numerator + sd * p.denominator, sd * p.numerator
+    sn, sd = reciprocal_sum(T)
     yield s * sd, (s - 1) * sd + sn
     for p in T:
         pn, pd = p.numerator, p.denominator
@@ -166,12 +171,13 @@ class Hierarchy:
 
     @memoized(_check)
     def classify(self, x: ExactRational) -> Classification:
-        if x >= HALF:
-            if x == ONE:
+        n, den = x.numerator, x.denominator
+        if 2 * n >= den:  # x >= 1/2
+            if n == den:
                 return Classification.MAXIMAL
-            if x == HALF:
+            if den == 2 * n:
                 return Classification.LIMIT
-            if x.denominator == 2 * x.numerator - 1:
+            if den == 2 * n - 1:
                 return Classification.SUCCESSOR
             return Classification.NOT_MEMBER
         # images of members are always limit points
@@ -181,7 +187,7 @@ class Hierarchy:
         if x == seg.r_lo:
             return Classification.LIMIT
         P = self.xd_minimal(x, x)
-        generators = [T for T in P.tuples if apply_rule(T) == x]
+        generators = [T for T in P.tuples if _generates(T, x)]
         if not generators:
             return Classification.NOT_MEMBER
         for T in generators:
@@ -253,8 +259,8 @@ class Hierarchy:
                 Classification.NOT_MEMBER: "not a member",
             }[cls]
             raise DomainError(f"no predecessor: {x} is {kind}")
-        if x > HALF:
-            n = x.numerator
+        n = x.numerator
+        if 2 * n > x.denominator:  # x > 1/2
             return self._member(ExactRational(n - 1, 2 * (n - 1) - 1))
         lower = {}  # (numerator, denominator) of a component -> its predecessor or None
 
@@ -310,7 +316,7 @@ class Hierarchy:
             return self._substituted_sequence((p, p), 1, upper, seg.r_hi)
         P = self.xd_minimal(x, x)
         for T in P.tuples:
-            if apply_rule(T) != x:
+            if not _generates(T, x):
                 continue
             for j, c in enumerate(T):
                 if self.classify(c) is Classification.LIMIT:
@@ -346,14 +352,15 @@ class Hierarchy:
     @memoized(_check)
     def bracket(self, p: ExactRational):
         """Largest member <= p and smallest member >= p."""
-        if p.numerator == 1:
+        pn, pd = p.numerator, p.denominator
+        if pn == 1:
             # every 1/k is a member: 1, 1/2, and the images of 1/(k-1)
             p = self._member(p)
             return p, p
-        if p > HALF:
-            n_star = math.floor(p / (2 * p - 1))
+        if 2 * pn > pd:  # p > 1/2
+            n_star = pn // (2 * pn - pd)  # floor(p / (2p - 1))
             f2 = self._member(ExactRational(n_star, 2 * n_star - 1))
-            if f2 == p:
+            if pd == 2 * pn - 1:  # p is n_star/(2*n_star - 1) itself
                 return f2, f2
             return self._member(ExactRational(n_star + 1, 2 * n_star + 1)), f2
         return self._climb(p, strict=False)
@@ -391,8 +398,8 @@ class Hierarchy:
         floor edge 1/(L+1), whose neighbor lies under the floor (FloorError)."""
         if self.classify(u) is Classification.NOT_MEMBER:
             raise DomainError(f"next_below needs a member, got {u}")
-        if u > HALF:
-            n = u.numerator
+        n = u.numerator
+        if 2 * n > u.denominator:  # u > 1/2
             return self._member(ExactRational(n + 1, 2 * n + 1))
         lo, hi = self._climb(u, strict=True)
         if hi != u:

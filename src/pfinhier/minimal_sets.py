@@ -7,42 +7,43 @@ set of allowed tuples such that every allowed tuple is dominated from
 below, coordinatewise, by a stored tuple of the same length; this is the
 finite search space behind membership classification and predecessors.
 
-The two procedures here are mutually recursive: xd_minimal walks candidate
-smallest components upward and recurses on the remaining budget, while
-find_smallest answers "what is the next achievable contribution total
-strictly above d" for the limit-element advance.
+The walk behind xd_minimal visits candidate smallest components upward
+and recurses on the remaining budget; at a limit component it asks
+find_smallest for the least total above the inner budget among one-step
+changes of the inner set's tuples, and jumps past it.
 
 Functions take the hierarchy handle explicitly; it must provide classify,
 predecessor, bracket and next_below. Each handle keeps one budget table
 per (x, floor): the pair (p0', delta) that every budget of that x shares,
-and the sets found so far, each stored once for the whole interval of
-budgets that yields it (see xd_minimal).
+and the sets found so far, each stored once for the whole interval
+[lo, hi) of budgets that yields it (see xd_minimal).
 
-The arithmetic is exact and integer-based: the walk keeps each
-contribution as an integer numerator/denominator pair and compares by
-cross-multiplication, building a Fraction only for the recursive budget
-and for each stored set's largest total. Budgets below delta admit no
-tuple and return the empty set before any table lookup.
+The arithmetic is exact and integer-based: the walk keeps budgets,
+contributions and interval ends as integer numerator/denominator pairs
+and compares by cross-multiplication. Only the public xd_minimal and
+find_smallest build Fractions, for their answers. Budgets below delta
+admit no tuple and return the empty set before any table lookup.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import ConsistencyError, InputError
 from .memo import memoized
-from .rationals import ExactRational, ONE, ZERO, ascending_key
-from .rules import contribution
+from .rationals import ExactRational, ONE, ascending_key
+from .rules import contribution, reciprocal_sum
 
 Components = tuple[ExactRational, ...]
 
 
 @dataclass(frozen=True)
 class MinimalSet:
-    """An (x, d)-minimal set; lo is the largest contribution total among
-    its tuples (0 when there are none), and every budget in [lo, d] has
-    the same set."""
+    """An (x, d)-minimal set. lo is the largest contribution total among
+    its tuples (0 when there are none) and hi the next achievable total
+    above lo; every budget in [lo, hi) has the same set."""
 
     x: ExactRational
     d: ExactRational
@@ -51,6 +52,7 @@ class MinimalSet:
     p0_prime: ExactRational
     tuples: tuple[Components, ...]
     lo: ExactRational
+    hi: ExactRational
 
     def __contains__(self, item) -> bool:
         return tuple(item) in self.tuples
@@ -72,55 +74,70 @@ def with_component(T: Components, y: ExactRational) -> Components:
     return T + (y,)
 
 
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 class _BudgetTable:
     """What every budget of one (x, floor) shares, and the sets found so far.
 
-    entries ascend by lo and hold (lo, dmax, tuples): the set for every
-    budget in [lo, dmax]. lows[i] is the float of entries[i]'s lo, for
-    bisection.
+    entries ascend by lo and hold (lo_n, lo_d, hi_n, hi_d, tuples): the
+    set for every budget in [lo, hi), both ends as reduced integer pairs.
+    The intervals are disjoint. lows[i] is the float of entries[i]'s lo,
+    for bisection.
     """
 
-    __slots__ = ("p0_prime", "delta", "lows", "entries")
+    __slots__ = ("x", "floor", "p0_prime", "delta", "lows", "entries")
 
-    def __init__(self, p0_prime: ExactRational, delta: ExactRational):
+    def __init__(self, x, floor, p0_prime: ExactRational, delta: ExactRational):
+        self.x = x
+        self.floor = floor
         self.p0_prime = p0_prime
         self.delta = delta
         self.lows: list[float] = []
         self.entries: list[tuple] = []
 
-    def _last_at_or_below(self, v: ExactRational) -> int:
-        """Index of the last entry whose lo is <= v, or -1."""
-        vn, vd = v.numerator, v.denominator
+    def _last_at_or_below(self, vn: int, vd: int) -> int:
+        """Index of the last entry whose lo is <= vn/vd, or -1."""
         i = bisect_right(self.lows, vn / vd) - 1
         entries = self.entries
         # floats of distinct values can tie (see ascending_key): step back
         # past entries that sort with v's float but exceed v
-        while i >= 0 and entries[i][0].numerator * vd > vn * entries[i][0].denominator:
+        while i >= 0 and entries[i][0] * vd > vn * entries[i][1]:
             i -= 1
         return i
 
-    def lookup(self, d: ExactRational):
-        """(tuples, lo) of the entry whose interval holds d, or None."""
-        i = self._last_at_or_below(d)
+    def lookup(self, dn: int, dd: int):
+        """The entry whose interval holds dn/dd, or None."""
+        i = self._last_at_or_below(dn, dd)
         if i < 0:
             return None
-        lo, dmax, tuples = self.entries[i]
-        if d.numerator * dmax.denominator > dmax.numerator * d.denominator:
+        entry = self.entries[i]
+        if dn * entry[3] >= entry[2] * dd:  # d >= hi
             return None
-        return tuples, lo
+        return entry
 
-    def record(self, d: ExactRational, tuples, lo: ExactRational) -> None:
-        """Store the set walked at d: widen the entry with lo, or add one."""
-        i = self._last_at_or_below(lo)
-        if i >= 0 and self.entries[i][0] == lo:
-            if self.entries[i][2] != tuples:
-                raise ConsistencyError(
-                    f"budgets {self.entries[i][1]} and {d} share lo {lo} but not their sets"
-                )
-            self.entries[i] = (lo, d, self.entries[i][2])
-        else:
-            self.entries.insert(i + 1, (lo, d, tuples))
-            self.lows.insert(i + 1, lo.numerator / lo.denominator)
+    def record(self, dn: int, dd: int, entry) -> None:
+        """Store the entry walked at dn/dd, whose interval must hold it and
+        meet no stored one."""
+        lo_n, lo_d, hi_n, hi_d, tuples = entry
+        if lo_n * dd > dn * lo_d or dn * hi_d >= hi_n * dd:
+            raise ConsistencyError(
+                f"budget {dn}/{dd} lies outside its walked interval [{lo_n}/{lo_d}, {hi_n}/{hi_d})"
+            )
+        entries = self.entries
+        i = self._last_at_or_below(lo_n, lo_d)
+        if i >= 0:
+            prev = entries[i]
+            if prev[0] * lo_d == lo_n * prev[1] and prev[4] != tuples:
+                raise ConsistencyError(f"budgets walked at lo {lo_n}/{lo_d} differ in their sets")
+            if prev[2] * lo_d > lo_n * prev[3]:
+                raise ConsistencyError(f"the interval walked at {dn}/{dd} meets a stored one")
+        if i + 1 < len(entries) and entries[i + 1][0] * hi_d < hi_n * entries[i + 1][1]:
+            raise ConsistencyError(f"the interval walked at {dn}/{dd} meets a stored one")
+        entries.insert(i + 1, entry)
+        self.lows.insert(i + 1, lo_n / lo_d)
 
 
 @memoized(lambda hier, x, floor: None)  # called by xd_minimal after its guard
@@ -140,52 +157,77 @@ def _budget_table(hier, x: ExactRational, floor: ExactRational) -> _BudgetTable:
     delta = contribution(x, p0p)
     if delta <= 0:
         raise ConsistencyError(f"delta must be positive, got {delta}")
-    return _BudgetTable(p0p, delta)
+    return _BudgetTable(x, floor, p0p, delta)
 
 
-def _smallest_with_contribution_at_most(hier, x, floor, bound):
-    """Smallest member y >= floor with x/y + x - 1 <= bound, or None."""
+def _smallest_with_contribution_at_most(hier, x, floor, bn: int, bd: int):
+    """Smallest member y >= floor with x/y + x - 1 <= bn/bd, and the member
+    just below y, or None when that one lies under the floor.
+
+    The walk asks only for bounds of at least delta, which p0' meets.
+    """
     xn, xd = x.numerator, x.denominator
-    bn, bd = bound.numerator, bound.denominator
     # bound + 1 - x = a / (bd*xd), so the threshold x/(bound + 1 - x) is xn*bd / a
     a = (bn + bd) * xd - xn * bd
-    if a <= 0:
-        return None
     tn = xn * bd
+    if a <= 0 or tn > a:  # the threshold is negative or exceeds 1
+        raise ConsistencyError(f"no component fits the bound {bn}/{bd} >= delta")
     if floor.numerator * a >= tn * floor.denominator:
-        lo = floor
-    else:
-        lo = ExactRational(tn, a)
-    if lo > ONE:
-        return None
-    _, f2 = hier.bracket(lo)
-    return f2
+        # every member from the floor up fits; none below it counts
+        return hier.bracket(floor)[1], None
+    below, y = hier.bracket(ExactRational(tn, a))
+    if below == y:  # the threshold is a member
+        below = hier.next_below(y)
+    return y, (below if below >= floor else None)
 
 
 def find_smallest(hier, P: MinimalSet, x: ExactRational, d: ExactRational):
-    """Smallest achievable contribution total strictly above d.
+    """Least total above d among one-step changes of P's tuples.
 
-    Candidates come from P's tuples two ways: lower one coordinate to the
-    next member below it (staying at or above the floor), or append the
-    cheapest positive contributor. The empty tuple always participates,
-    so an empty P still offers its one-element extension at delta.
-    Returns None when no candidate exceeds d.
+    Each tuple of P, and the empty tuple, offers two kinds of change:
+    lower one coordinate to the next member below it (staying at or above
+    the floor), or append the cheapest positive contributor p0'. Returns
+    the least total of these changes that exceeds d, or None when none
+    does. An empty P still offers its one-element extension at delta.
+
+    This is not the least achievable total above d. At x = 5/12 and
+    d = 1/12, P holds the one tuple (2/3, 2/3), and this returns 1/8,
+    while the singleton (3/5) reaches 1/9.
     """
-    best = None
-    pool = list(P.tuples) + [()]
-    for T in pool:
-        total = sum((contribution(x, p) for p in T), start=ExactRational(0))
-        for j, p_j in enumerate(T):
-            lower = hier.next_below(p_j)
-            if lower < P.floor:
+    table = _budget_table(hier, x, P.floor)
+    t = _next_total(hier, table, P.tuples, d.numerator, d.denominator)
+    return None if t is None else ExactRational(*t)
+
+
+def _next_total(hier, table: _BudgetTable, tuples, rn: int, rd: int):
+    """find_smallest on integer pairs: the least total above rn/rd among
+    one-step changes of the tuples, as a reduced pair, or None."""
+    x, floor = table.x, table.floor
+    xn, xd = x.numerator, x.denominator
+    en, ed = table.delta.numerator, table.delta.denominator
+    best_n, best_d = 1, 0  # +infinity until the first candidate
+    for T in tuples + ((),):
+        # k components whose reciprocals sum to sn/sd total
+        # (xn*sn + k*(xn - xd)*sd) / (xd*sd)
+        k = len(T)
+        sn, sd = reciprocal_sum(T)
+        tn, td = xn * sn + k * (xn - xd) * sd, xd * sd
+        candidates = [(tn * ed + en * td, td * ed)]  # append p0'
+        for p in T:
+            q = hier.next_below(p)
+            if q < floor:
                 continue
-            d1 = total - contribution(x, p_j) + contribution(x, lower)
-            if d1 > d and (best is None or d1 < best):
-                best = d1
-        d2 = total + P.delta
-        if d2 > d and (best is None or d2 < best):
-            best = d2
-    return best
+            # swap 1/p for 1/q in the reciprocal sum
+            pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+            wn = (sn * pn - sd * pd) * qn + sd * pn * qd
+            wd = sd * pn * qn
+            candidates.append((xn * wn + k * (xn - xd) * wd, xd * wd))
+        for cn, cd in candidates:
+            if cn * rd > rn * cd and cn * best_d < best_n * cd:
+                best_n, best_d = cn, cd
+    if best_d == 0:
+        return None
+    return _reduced(best_n, best_d)
 
 
 def _check_budget(x, d, floor) -> None:
@@ -210,7 +252,7 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
     either records the singleton (leftover below delta) or extends every
     tuple of the recursive set by y. Successor y's advance by one member;
     limit y's jump to the smallest member whose contribution fits under
-    d minus the next achievable total of the inner set.
+    d minus t, t = find_smallest of the inner set.
 
     One walk answers a whole interval of budgets. Call a total achievable
     when some tuple of members in [floor, 1], each with a positive
@@ -227,47 +269,84 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
        budget d - c(x, y) allows exactly the tuples that fit beside y;
        a limit jump compares d - c(x, y) with totals of inner tuples and
        then picks the smallest member y' with c(x, y') <= d - t for the
-       next total t. Each choice compares d with an achievable total
+       one-step total t. Each choice compares d with an achievable total
        (a singleton, an inner total plus c(x, y), t plus c(x, y')), so
        none changes while d stays in an interval free of them. By
        induction on the recursion, whose budget drops by at least delta
        per level, budgets that allow the same tuples walk to the same set.
+    3. The walk also finds hi, the least budget above d at which one of
+       its choices would change: the minimum of
+       (a) c(x, m) for the member m just below the first component, the
+           budget at which m's singleton fits (none if m lies under the
+           floor);
+       (b) c(x, y) + hi(inner) for each visited y, the budget at which
+           the inner set changes; an empty inner set ends at delta;
+       (c) for each limit jump, t + c(x, m') for the member m' just below
+           y' (none under the floor), or t + delta if no member fits
+           beside t and the walk stops there. t itself holds while the
+           inner budget stays below hi(inner): the one-step totals are
+           achievable, and by 1 none lies in (lo(inner), hi(inner)).
+       Each is an achievable total above d, and so is hi. Every budget in
+       [d, hi) walks to the same set, so by 1 no achievable total lies in
+       (lo, hi): hi is the least achievable total above lo.
 
-    So the set stored for a walked budget dmax answers every budget in
-    [lo, dmax]. The table of (x, floor) keeps one entry [lo, dmax] per
-    set, dmax the largest budget walked to it, and answers any budget in
-    an entry's interval without walking; a budget outside them is walked
-    and widens the entry with its lo or adds one. lo is summed during the
-    walk, in integers, as max over y of c(x, y) + lo(inner).
+    So the set stored for d answers exactly the budgets in [lo, hi).
+    The table of (x, floor) keeps one entry [lo, hi) per set, and the
+    entries are disjoint. A budget inside one is answered without walking;
+    any other is walked once, and its entry is inserted. lo and hi are
+    summed during the walk, in integers: lo as max over y of
+    c(x, y) + lo(inner), hi as the minimum above. Inner budgets recurse
+    on integer pairs, past this function's guard.
     """
     _check_budget(x, d, floor)
     table = _budget_table(hier, x, floor)
-    delta = table.delta
-    if d.numerator * delta.denominator < delta.numerator * d.denominator:
-        tuples, lo = (), ZERO  # d < delta: no component fits
-    else:
-        found = table.lookup(d)
-        if found is None:
-            found = _walk(hier, table, x, d, floor)
-            table.record(d, *found)
-        tuples, lo = found
+    lo_n, lo_d, hi_n, hi_d, tuples = _minimal(hier, table, d.numerator, d.denominator)
     return MinimalSet(
-        x=x, d=d, floor=floor, delta=delta, p0_prime=table.p0_prime, tuples=tuples, lo=lo
+        x=x, d=d, floor=floor, delta=table.delta, p0_prime=table.p0_prime, tuples=tuples,
+        lo=ExactRational(lo_n, lo_d), hi=ExactRational(hi_n, hi_d),
     )
 
 
-def _walk(hier, table: _BudgetTable, x, d, floor):
-    """The walk of xd_minimal at d >= delta: (tuples, lo)."""
+def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
+    """The entry (lo_n, lo_d, hi_n, hi_d, tuples) answering budget dn/dd."""
+    x, delta = table.x, table.delta
+    if dn < 0 or dn * x.denominator > x.numerator * dd:
+        raise ConsistencyError(f"budget {dn}/{dd} left [0, {x}]")
+    en, ed = delta.numerator, delta.denominator
+    if dn * ed < en * dd:
+        return 0, 1, en, ed, ()  # d < delta: no component fits
+    entry = table.lookup(dn, dd)
+    if entry is None:
+        entry = _walk(hier, table, dn, dd)
+        table.record(dn, dd, entry)
+    return entry
+
+
+def _walk(hier, table: _BudgetTable, dn: int, dd: int):
+    """The walk of xd_minimal at d = dn/dd >= delta: (lo_n, lo_d, hi_n, hi_d, tuples)."""
     from .hierarchy import Classification  # import cycle: hierarchy imports this module
 
+    x, floor = table.x, table.floor
     xn, xd = x.numerator, x.denominator
-    dn, dd = d.numerator, d.denominator
     en, ed = table.delta.numerator, table.delta.denominator
     collected: list[Components] = []
     lo_n, lo_d = 0, 1
-    y = _smallest_with_contribution_at_most(hier, x, floor, d)
-    if y is None:
-        raise ConsistencyError("no starting component despite d >= delta")
+    hi_n, hi_d = 1, 0  # +infinity until the first threshold
+
+    def lower_hi(tn, td):
+        nonlocal hi_n, hi_d
+        if tn * hi_d < hi_n * td:
+            hi_n, hi_d = tn, td
+
+    def lower_hi_by(tn, td, m):
+        """Lower hi to t + c(x, m) for the member m below a chosen component."""
+        if m is not None:
+            mn, md = m.numerator, m.denominator
+            cd = xd * mn
+            lower_hi(tn * cd + (xn * (md + mn) - cd) * td, td * cd)
+
+    y, below = _smallest_with_contribution_at_most(hier, x, floor, dn, dd)
+    lower_hi_by(0, 1, below)  # (a)
     prev_y = None
     while True:
         # c(x, y) = x/y + x - 1 = cn/cd with cd > 0
@@ -280,18 +359,18 @@ def _walk(hier, table: _BudgetTable, x, d, floor):
             raise ConsistencyError("component walk failed to advance")
         if cn * ed < en * cd:  # c < delta, so d - c > d - delta
             raise ConsistencyError("recursive budget must drop by at least delta")
-        d_rest = ExactRational(dn * cd - cn * dd, dd * cd)
-        inner = xd_minimal(hier, x, d_rest, floor)
-        if not inner.tuples:
+        rn, rd = _reduced(dn * cd - cn * dd, dd * cd)
+        iln, ild, ihn, ihd, inner = _minimal(hier, table, rn, rd)
+        if not inner:
             collected.append((y,))
         else:
-            for T in inner.tuples:
+            for T in inner:
                 collected.append(with_component(T, y))
         # the largest total through y: c(x, y) + lo(inner)
-        iln, ild = inner.lo.numerator, inner.lo.denominator
         tn, td = cn * ild + iln * cd, cd * ild
         if tn * lo_d > lo_n * td:
             lo_n, lo_d = tn, td
+        lower_hi(cn * ihd + ihn * cd, cd * ihd)  # (b)
         cls = hier.classify(y)
         prev_y = y
         if cls is Classification.MAXIMAL:
@@ -299,19 +378,23 @@ def _walk(hier, table: _BudgetTable, x, d, floor):
         if cls is Classification.SUCCESSOR:
             y = hier.predecessor(y)
         else:
-            nxt_total = find_smallest(hier, inner, x, d_rest)
-            if nxt_total is None:
+            t = _next_total(hier, table, inner, rn, rd)
+            if t is None:
                 break
-            y = _smallest_with_contribution_at_most(hier, x, floor, d - nxt_total)
-            if y is None:
+            tn, td = t
+            bn, bd = dn * td - tn * dd, dd * td  # d - t
+            if bn * ed < en * bd:  # no member fits beside t
+                lower_hi(tn * ed + en * td, td * ed)  # (c)
                 break
+            y, below = _smallest_with_contribution_at_most(hier, x, floor, bn, bd)
+            lower_hi_by(tn, td, below)  # (c)
 
     # distinct tuples ordered by (length, components); equal tuples sort adjacent
     collected.sort(key=_canonical_key)
     canonical = tuple(
         T for i, T in enumerate(collected) if i == 0 or T != collected[i - 1]
     )
-    return canonical, ExactRational(lo_n, lo_d)
+    return (*_reduced(lo_n, lo_d), *_reduced(hi_n, hi_d), canonical)
 
 
 def prune_dominated(tuples) -> tuple[Components, ...]:

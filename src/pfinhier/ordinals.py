@@ -23,10 +23,10 @@ from .rationals import HALF, ZERO, ExactRational
 
 @dataclass(frozen=True, eq=False)
 class Ordinal:
-    """Comparisons walk the exponent spine with an explicit stack, and
-    the hash is computed once, at construction, from the exponents'
-    stored hashes, so towers of any height compare and hash without
-    deep recursion."""
+    """Comparisons walk the exponent spine with an explicit stack, the
+    hash is computed once, at construction, from the exponents' stored
+    hashes, and repr prints through format_ordinal, so towers of any
+    height compare, hash and print without deep recursion."""
 
     terms: tuple[tuple["Ordinal", int], ...] = ()
     _hash: int = field(init=False, repr=False)
@@ -101,6 +101,9 @@ class Ordinal:
 
     def __str__(self) -> str:
         return format_ordinal(self)
+
+    def __repr__(self) -> str:
+        return f"Ordinal({format_ordinal(self)!r})"
 
     def __add__(self, other: "Ordinal") -> "Ordinal":
         return ord_add(self, other)

@@ -38,6 +38,14 @@ def apply_rule(components: Sequence[ExactRational]) -> ExactRational:
     return ExactRational(s * den, (s - 1) * den + num)
 
 
+def reciprocal_sum(components: Sequence[ExactRational]) -> tuple[int, int]:
+    """sum(1/p_i) as an unreduced integer pair (num, den), den > 0."""
+    num, den = 0, 1
+    for p in components:
+        num, den = num * p.numerator + den * p.denominator, den * p.numerator
+    return num, den
+
+
 def solve_weights(components: Sequence[ExactRational]) -> list[ExactRational]:
     """Per-component weights q_i = p/p_i + p - 1 for the pooled value p."""
     p = apply_rule(components)

@@ -14,6 +14,7 @@ from pfinhier import (
     find_smallest,
     prune_dominated,
 )
+from pfinhier import minimal_sets
 from pfinhier.minimal_sets import _budget_table, xd_minimal
 
 from oracles import base_members, dominated_by_some, sample_allowed_tuples
@@ -152,7 +153,39 @@ def test_interval_reuse_matches_fresh_walks(x):
         for d in order:
             ms = P(warm, x, d)
             assert ms.d == d and ms.tuples == fresh[d], (x, d)
-            assert ms.lo <= d
+            assert ms.lo <= d < ms.hi
+    # Every stored interval [lo, hi) answers its lo, its midpoint and a
+    # budget just under hi as a fresh walk does, and a fresh walk at hi
+    # stores a tuple totalling hi, so hi is achievable.
+    entries = _budget_table(warm, x, warm.governing_floor(x)).entries
+    assert entries
+    for lo_n, lo_d, hi_n, hi_d, tuples in entries:
+        lo, hi = F(lo_n, lo_d), F(hi_n, hi_d)
+        probes = [lo, (lo + hi) / 2, hi - (hi - lo) / 1024]
+        for d in (b for b in probes if b <= x):
+            ms = P(Hierarchy(floor_level=4), x, d)
+            assert (ms.tuples, ms.lo, ms.hi) == (tuples, lo, hi), (x, d)
+        if hi <= x:
+            assert P(Hierarchy(floor_level=4), x, hi).lo == hi, (x, hi)
+
+
+def test_one_walk_per_interval(monkeypatch):
+    # every walk of a cold classify stores a new interval: none re-derives
+    # a set the table holds
+    walks = []
+    real_walk = minimal_sets._walk
+
+    def counted(hier, table, dn, dd):
+        walks.append((table, dn, dd))
+        return real_walk(hier, table, dn, dd)
+
+    monkeypatch.setattr(minimal_sets, "_walk", counted)
+    h = Hierarchy(floor_level=4)
+    h.classify(F(7, 17))
+    tables = {id(table): table for table, _, _ in walks}
+    assert len(walks) == sum(len(t.entries) for t in tables.values()) == 573
+    for table, dn, dd in walks:
+        assert table.lookup(dn, dd) is not None
 
 
 def test_budget_tables_stay_per_floor():

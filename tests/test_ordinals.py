@@ -149,6 +149,7 @@ def test_towers_compare_and_add_without_recursion(height):
     assert hash(a) == hash(a2) and len({a, a2, b}) == 2
     assert format_ordinal(a) == "w^(" * height + "w" + ")" * height
     assert format_ordinal(b) == "w^(" * height + "2" + ")" * height
+    assert repr(a) == f"Ordinal({format_ordinal(a)!r})" and repr(b) == f"Ordinal({str(b)!r})"
     assert nat_add(a, b) == nat_add(b, a) == total
     (ea, _), (eb, _) = a.terms[0], b.terms[0]
     assert nat_mul(a, b) == nat_mul(b, a) == omega_pow(nat_add(ea, eb))
