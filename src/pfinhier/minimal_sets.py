@@ -285,10 +285,12 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
            y' (none under the floor), or t + delta if no member fits
            beside t and the walk stops there. t itself holds while the
            inner budget stays below hi(inner): the one-step totals are
-           achievable, and by 1 none lies in (lo(inner), hi(inner)).
-       Each is an achievable total above d, and so is hi. Every budget in
-       [d, hi) walks to the same set, so by 1 no achievable total lies in
-       (lo, hi): hi is the least achievable total above lo.
+           achievable, and by induction none lies in
+           (lo(inner), hi(inner)).
+       Each is an achievable total above d (by induction for hi(inner)),
+       and so is hi. Every budget in [d, hi) walks to the same set, so
+       by 1 no achievable total lies in (lo, hi): hi is the least
+       achievable total above lo.
 
     So the set stored for d answers exactly the budgets in [lo, hi).
     The table of (x, floor) keeps one entry [lo, hi) per set, and the
