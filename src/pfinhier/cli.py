@@ -6,6 +6,10 @@ element), 2 argument or parse error, 3 query below the constructed
 floor. Internal consistency failures are allowed to escape with a
 traceback; they indicate a bug, not a usage error.
 
+Counts are bounded: `limit-seq --take` and `enum`'s count must lie in
+[1, MAX_COUNT] (10,000), so a mistyped count is refused with exit 2
+instead of running for minutes.
+
 Output is byte-deterministic for identical invocations. With --json a
 single object {verb, input, result, witnesses} is printed instead of
 the plain text form.
@@ -35,6 +39,15 @@ from .trees import (
     rational_labeling,
     validate_labeling,
 )
+
+
+# the most terms limit-seq --take or enum may ask for
+MAX_COUNT = 10_000
+
+
+def _check_count(what: str, n: int) -> None:
+    if not 1 <= n <= MAX_COUNT:
+        raise InputError(f"{what} must lie in [1, {MAX_COUNT}]: {n}")
 
 
 def _read_file(path: str) -> str:
@@ -94,8 +107,7 @@ def _cmd_pred(hier, args):
 
 def _cmd_limit_seq(hier, args):
     x = parse_rational(args.x)
-    if args.take < 1:
-        raise InputError(f"--take must be positive: {args.take}")
+    _check_count("--take", args.take)
     seq = hier.limit_sequence(x)
     terms = [format_rational(t) for t in seq.take(args.take)]
     _emit(args, terms, {}, terms)
@@ -122,8 +134,7 @@ def _cmd_decide(hier, args):
 def _cmd_enum(hier, args):
     a = parse_rational(args.a)
     b = parse_rational(args.b)
-    if args.n < 1:
-        raise InputError(f"count must be positive: {args.n}")
+    _check_count("count", args.n)
     members = hier.enumerate_interval(a, b, args.n)
     lines = [format_rational(m) for m in members]
     _emit(args, lines, {}, lines)

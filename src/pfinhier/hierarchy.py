@@ -23,12 +23,15 @@ neighbors per instance. It also owns the minimal-set tables, one per
 yields it. A memoized limit sequence keeps every term it has computed,
 for all later callers.
 
-Each Hierarchy also keeps one object per member value: predecessors,
+Each Hierarchy also keeps one sort key per member value: predecessors,
 brackets, neighbors and limit-sequence terms pass through its intern
 table, keyed on (numerator, denominator), before they are handed out.
-Equal members it returns are then the same object, so comparing and
-sorting the minimal-set tuples built from them settles on identity
-instead of Fraction equality. Two hierarchies share no such table.
+The table holds each member's key (float, member), built once, so equal
+members it returns are the same object, and the minimal-set walk stores
+its tuples as tuples of these keys. Comparing two keyed tuples compares
+floats and settles equal members on identity; only distinct members
+whose floats tie compare as Fractions. Two hierarchies share no such
+table.
 Queries below the configured floor level raise FloorError instead of
 recursing without bound.
 """
@@ -42,7 +45,7 @@ from heapq import heapify, heappop
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
 from .memo import memoized
-from .rationals import ExactRational, HALF, ONE, ZERO
+from .rationals import ExactRational, HALF, ONE, ZERO, ascending_key
 from .rules import apply_rule, h_inverse, h_map, is_valid_application, reciprocal_sum
 
 
@@ -145,11 +148,20 @@ class Hierarchy:
         if floor_level < 1:
             raise InputError(f"floor level must be at least 1: {floor_level}")
         self.floor_level = floor_level
-        self._members: dict[tuple[int, int], ExactRational] = {}
+        # (numerator, denominator) -> the member's sort key (float, member)
+        self._members: dict[tuple[int, int], tuple[float, ExactRational]] = {}
+
+    def _key(self, value: ExactRational) -> tuple[float, ExactRational]:
+        """This hierarchy's one sort key for the member value (see ascending_key)."""
+        pair = value._numerator, value._denominator
+        key = self._members.get(pair)
+        if key is None:
+            key = self._members[pair] = ascending_key(value)
+        return key
 
     def _member(self, value: ExactRational) -> ExactRational:
         """This hierarchy's one object for the member value."""
-        return self._members.setdefault((value._numerator, value._denominator), value)
+        return self._key(value)[1]
 
     # ---- guards ----
 

@@ -13,7 +13,7 @@ find_smallest for the least total above the inner budget among one-step
 changes of the inner set's tuples, and jumps past it.
 
 Functions take the hierarchy handle explicitly; it must provide classify,
-predecessor, bracket and next_below. Each handle keeps one budget table
+predecessor, bracket, next_below and _key. Each handle keeps one budget table
 per (x, floor): the pair (p0', delta) that every budget of that x shares,
 and the sets found so far, each stored once for the whole interval
 [lo, hi) of budgets that yields it (see xd_minimal).
@@ -23,20 +23,32 @@ contributions and interval ends as integer numerator/denominator pairs
 and compares by cross-multiplication. Only the public xd_minimal and
 find_smallest build Fractions, for their answers. Budgets below delta
 admit no tuple and return the empty set before any table lookup.
+
+Inside the table and the walk a tuple is stored as its exact sort key:
+the tuple of its members' keys (float, member), each built once by the
+handle's intern table (Hierarchy._key). The walk inserts a component
+into an ascending keyed tuple by bisection and orders a set as
+(length, keyed tuple) pairs with a plain sort, which compares floats and
+falls back to the exact members only when two floats tie. The public
+xd_minimal strips the keys once per call; the walk strips them only to
+hand an inner set to find_smallest's integer step at a limit jump.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .errors import ConsistencyError, InputError
 from .memo import memoized
-from .rationals import ExactRational, ONE, ascending_key
+from .rationals import ExactRational, ONE
 from .rules import contribution, reciprocal_sum
 
 Components = tuple[ExactRational, ...]
+# a tuple of members as its exact sort key: each member's (float, member)
+Keyed = tuple[tuple[float, ExactRational], ...]
 
 
 @dataclass(frozen=True)
@@ -61,17 +73,10 @@ class MinimalSet:
         return len(self.tuples)
 
 
-def _canonical_key(T: Components):
-    return len(T), tuple(map(ascending_key, T))
-
-
-def with_component(T: Components, y: ExactRational) -> Components:
-    """The ascending tuple T with y inserted ahead of its equals, as sorted((y,) + T) would."""
-    yn, yd = y.numerator, y.denominator
-    for i, c in enumerate(T):
-        if yn * c.denominator <= c.numerator * yd:
-            return T[:i] + (y,) + T[i:]
-    return T + (y,)
+def _stripped(keyed: tuple[Keyed, ...]) -> tuple[Components, ...]:
+    """The member tuples behind keyed tuples."""
+    member = itemgetter(1)
+    return tuple(tuple(map(member, K)) for K in keyed)
 
 
 def _reduced(n: int, d: int) -> tuple[int, int]:
@@ -82,10 +87,12 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
 class _BudgetTable:
     """What every budget of one (x, floor) shares, and the sets found so far.
 
-    entries ascend by lo and hold (lo_n, lo_d, hi_n, hi_d, tuples): the
+    entries ascend by lo and hold (lo_n, lo_d, hi_n, hi_d, keyed): the
     set for every budget in [lo, hi), both ends as reduced integer pairs.
-    The intervals are disjoint. lows[i] is the float of entries[i]'s lo,
-    for bisection.
+    keyed holds the set's tuples as their sort keys only (see the module
+    docstring), distinct and in (length, components) order; no member
+    tuple is stored beside them. The intervals are disjoint. lows[i] is
+    the float of entries[i]'s lo, for bisection.
     """
 
     __slots__ = ("x", "floor", "p0_prime", "delta", "lows", "entries")
@@ -102,7 +109,7 @@ class _BudgetTable:
         """Index of the last entry whose lo is <= vn/vd, or -1."""
         i = bisect_right(self.lows, vn / vd) - 1
         entries = self.entries
-        # floats of distinct values can tie (see ascending_key): step back
+        # floats of distinct values can tie: step back
         # past entries that sort with v's float but exceed v
         while i >= 0 and entries[i][0] * vd > vn * entries[i][1]:
             i -= 1
@@ -121,7 +128,7 @@ class _BudgetTable:
     def record(self, dn: int, dd: int, entry) -> None:
         """Store the entry walked at dn/dd, whose interval must hold it and
         meet no stored one."""
-        lo_n, lo_d, hi_n, hi_d, tuples = entry
+        lo_n, lo_d, hi_n, hi_d, keyed = entry
         if lo_n * dd > dn * lo_d or dn * hi_d >= hi_n * dd:
             raise ConsistencyError(
                 f"budget {dn}/{dd} lies outside its walked interval [{lo_n}/{lo_d}, {hi_n}/{hi_d})"
@@ -130,7 +137,7 @@ class _BudgetTable:
         i = self._last_at_or_below(lo_n, lo_d)
         if i >= 0:
             prev = entries[i]
-            if prev[0] * lo_d == lo_n * prev[1] and prev[4] != tuples:
+            if prev[0] * lo_d == lo_n * prev[1] and prev[4] != keyed:
                 raise ConsistencyError(f"budgets walked at lo {lo_n}/{lo_d} differ in their sets")
             if prev[2] * lo_d > lo_n * prev[3]:
                 raise ConsistencyError(f"the interval walked at {dn}/{dd} meets a stored one")
@@ -302,15 +309,16 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
     """
     _check_budget(x, d, floor)
     table = _budget_table(hier, x, floor)
-    lo_n, lo_d, hi_n, hi_d, tuples = _minimal(hier, table, d.numerator, d.denominator)
+    lo_n, lo_d, hi_n, hi_d, keyed = _minimal(hier, table, d.numerator, d.denominator)
     return MinimalSet(
-        x=x, d=d, floor=floor, delta=table.delta, p0_prime=table.p0_prime, tuples=tuples,
+        x=x, d=d, floor=floor, delta=table.delta, p0_prime=table.p0_prime,
+        tuples=_stripped(keyed),
         lo=ExactRational(lo_n, lo_d), hi=ExactRational(hi_n, hi_d),
     )
 
 
 def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
-    """The entry (lo_n, lo_d, hi_n, hi_d, tuples) answering budget dn/dd."""
+    """The entry (lo_n, lo_d, hi_n, hi_d, keyed) answering budget dn/dd."""
     x, delta = table.x, table.delta
     if dn < 0 or dn * x.denominator > x.numerator * dd:
         raise ConsistencyError(f"budget {dn}/{dd} left [0, {x}]")
@@ -325,13 +333,13 @@ def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
 
 
 def _walk(hier, table: _BudgetTable, dn: int, dd: int):
-    """The walk of xd_minimal at d = dn/dd >= delta: (lo_n, lo_d, hi_n, hi_d, tuples)."""
+    """The walk of xd_minimal at d = dn/dd >= delta: (lo_n, lo_d, hi_n, hi_d, keyed)."""
     from .hierarchy import Classification  # import cycle: hierarchy imports this module
 
     x, floor = table.x, table.floor
     xn, xd = x.numerator, x.denominator
     en, ed = table.delta.numerator, table.delta.denominator
-    collected: list[Components] = []
+    collected: list[tuple[int, Keyed]] = []  # (length, keyed tuple)
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 0  # +infinity until the first threshold
 
@@ -363,11 +371,13 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             raise ConsistencyError("recursive budget must drop by at least delta")
         rn, rd = _reduced(dn * cd - cn * dd, dd * cd)
         iln, ild, ihn, ihd, inner = _minimal(hier, table, rn, rd)
+        yk = hier._key(y)
         if not inner:
-            collected.append((y,))
-        else:
-            for T in inner:
-                collected.append(with_component(T, y))
+            collected.append((1, (yk,)))
+        for K in inner:
+            # y ahead of its equals, as sorted((y,) + T) would place it
+            i = bisect_left(K, yk)
+            collected.append((len(K) + 1, K[:i] + (yk,) + K[i:]))
         # the largest total through y: c(x, y) + lo(inner)
         tn, td = cn * ild + iln * cd, cd * ild
         if tn * lo_d > lo_n * td:
@@ -380,7 +390,7 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
         if cls is Classification.SUCCESSOR:
             y = hier.predecessor(y)
         else:
-            t = _next_total(hier, table, inner, rn, rd)
+            t = _next_total(hier, table, _stripped(inner), rn, rd)
             if t is None:
                 break
             tn, td = t
@@ -392,11 +402,12 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             lower_hi_by(tn, td, below)  # (c)
 
     # distinct tuples ordered by (length, components); equal tuples sort adjacent
-    collected.sort(key=_canonical_key)
-    canonical = tuple(
-        T for i, T in enumerate(collected) if i == 0 or T != collected[i - 1]
-    )
-    return (*_reduced(lo_n, lo_d), *_reduced(hi_n, hi_d), canonical)
+    collected.sort()
+    keyed = []
+    for _, K in collected:
+        if not keyed or K != keyed[-1]:
+            keyed.append(K)
+    return (*_reduced(lo_n, lo_d), *_reduced(hi_n, hi_d), tuple(keyed))
 
 
 def prune_dominated(tuples) -> tuple[Components, ...]:

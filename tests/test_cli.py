@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pfinhier.cli import main
+from pfinhier.cli import MAX_COUNT, main
 
 SIX_ELEVEN = "(()(()()()))"
 
@@ -74,6 +74,25 @@ def test_limit_seq(capsys):
     assert out == "1/2\n12/25\n"
     assert run(capsys, "limit-seq", "2/3")[0] == 1
     assert run(capsys, "limit-seq", "1/2", "--take", "0")[0] == 2
+
+
+def test_counts_are_bounded(capsys):
+    # counts past MAX_COUNT are refused at once with one error line,
+    # where they used to run for minutes
+    for argv in (
+        ("limit-seq", "1/2", "--take", str(MAX_COUNT + 1)),
+        ("limit-seq", "1/2", "--take", "3000000"),
+        ("enum", "1/2", "1", str(MAX_COUNT + 1)),
+        ("enum", "1/2", "1", "100000000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and str(MAX_COUNT) in err and err.count("\n") == 1
+    # the limit itself is allowed
+    code, out, _ = run(capsys, "limit-seq", "1/2", "--take", str(MAX_COUNT))
+    assert code == 0 and out.count("\n") == MAX_COUNT
+    code, out, _ = run(capsys, "enum", "3/5", "1", str(MAX_COUNT))
+    assert code == 0 and out == "3/5\n2/3\n1\n"
 
 
 def test_decide(capsys):

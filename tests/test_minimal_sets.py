@@ -1,6 +1,7 @@
 """Minimal allowed-tuple sets and the smallest-advance query."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from pfinhier import (
     prune_dominated,
 )
 from pfinhier import minimal_sets
-from pfinhier.minimal_sets import _budget_table, xd_minimal
+from pfinhier.minimal_sets import _budget_table, _stripped, xd_minimal
 
 from oracles import base_members, dominated_by_some, sample_allowed_tuples
 
@@ -159,8 +160,9 @@ def test_interval_reuse_matches_fresh_walks(x):
     # stores a tuple totalling hi, so hi is achievable.
     entries = _budget_table(warm, x, warm.governing_floor(x)).entries
     assert entries
-    for lo_n, lo_d, hi_n, hi_d, tuples in entries:
+    for lo_n, lo_d, hi_n, hi_d, keyed in entries:
         lo, hi = F(lo_n, lo_d), F(hi_n, hi_d)
+        tuples = _stripped(keyed)
         probes = [lo, (lo + hi) / 2, hi - (hi - lo) / 1024]
         for d in (b for b in probes if b <= x):
             ms = P(Hierarchy(floor_level=4), x, d)
@@ -201,3 +203,59 @@ def test_budget_tables_stay_per_floor():
     other = Hierarchy(floor_level=2)
     assert P(other, x, x).tuples == governed.tuples
     assert _budget_table(other, x, F(1, 2)) is not _budget_table(h, x, F(1, 2))
+
+
+def test_keyed_tuples_order_exactly_on_float_ties():
+    # 1/3 and two rationals just beside it share one float, so only the
+    # exact member inside each key can order them
+    third, below, above = F(1, 3), F(10**17, 3 * 10**17 + 1), F(10**17 + 1, 3 * 10**17 + 1)
+    assert below < third < above
+    assert float(below) == float(third) == float(above)
+    key = Hierarchy(floor_level=4)._key
+    assert key(F(2, 6)) is key(third)
+    pool = [below, third, above, F(1, 2), F(2, 3)]
+    rng = random.Random(20261018)
+    collected = []
+    for _ in range(400):
+        T = tuple(sorted(rng.choice(pool) for _ in range(rng.randint(0, 4))))
+        y = rng.choice(pool)
+        K, yk = tuple(map(key, T)), key(y)
+        # the walk's insertion: y ahead of its equals, by bisection
+        i = bisect_left(K, yk)
+        inserted = K[:i] + (yk,) + K[i:]
+        assert _stripped((inserted,))[0] == tuple(sorted(T + (y,)))
+        collected.append((len(inserted), inserted))
+    # the walk's ordering: a plain sort of (length, keyed) pairs, then
+    # dropping adjacent repeats
+    collected.sort()
+    keyed = []
+    for _, K in collected:
+        if not keyed or K != keyed[-1]:
+            keyed.append(K)
+    members = {T for T in _stripped(tuple(K for _, K in collected))}
+    assert _stripped(tuple(keyed)) == tuple(sorted(members, key=lambda T: (len(T), T)))
+
+
+def test_budget_table_entries_hold_exact_keys(monkeypatch):
+    # every table a cold classify(7/17) fills stores its tuples as exact,
+    # interned sort keys, distinct and in canonical order
+    tables = {}
+    real_walk = minimal_sets._walk
+
+    def recorded(hier, table, dn, dd):
+        tables[id(table)] = table
+        return real_walk(hier, table, dn, dd)
+
+    monkeypatch.setattr(minimal_sets, "_walk", recorded)
+    h = Hierarchy(floor_level=4)
+    h.classify(F(7, 17))
+    entries = [entry for table in tables.values() for entry in table.entries]
+    assert len(entries) == 573
+    for *_, keyed in entries:
+        for K in keyed:
+            assert all(a[1] <= b[1] for a, b in zip(K, K[1:])), K
+            for k in K:
+                m = k[1]
+                assert k[0] == m.numerator / m.denominator and k is h._key(m)
+        canonical = [(len(T), T) for T in _stripped(keyed)]
+        assert all(a < b for a, b in zip(canonical, canonical[1:])), keyed
