@@ -6,7 +6,7 @@ element), 2 argument or parse error, 3 query below the constructed
 floor. Internal consistency failures are allowed to escape with a
 traceback; they indicate a bug, not a usage error.
 
-Counts are bounded: `limit-seq --take` and `enum`'s count must lie in
+Counts are bounded: limit-seq --take and the count of enum must lie in
 [1, MAX_COUNT] (10,000), so a mistyped count is refused with exit 2
 instead of running for minutes.
 

@@ -13,10 +13,10 @@ find_smallest for the least total above the inner budget among one-step
 changes of the inner set's tuples, and jumps past it.
 
 Functions take the hierarchy handle explicitly; it must provide classify,
-predecessor, bracket, next_below and _key. Each handle keeps one budget table
-per (x, floor): the pair (p0', delta) that every budget of that x shares,
-and the sets found so far, each stored once for the whole interval
-[lo, hi) of budgets that yields it (see xd_minimal).
+predecessor, bracket, next_below and _key. Each handle keeps one budget
+table per (x, floor): the pair (p0', delta) that every budget of that x
+shares, and the sets found so far, each stored once for the whole
+interval [lo, hi) of budgets that yields it (see xd_minimal).
 
 The arithmetic is exact and integer-based: the walk keeps budgets,
 contributions and interval ends as integer numerator/denominator pairs
@@ -109,7 +109,7 @@ class _BudgetTable:
         """Index of the last entry whose lo is <= vn/vd, or -1."""
         i = bisect_right(self.lows, vn / vd) - 1
         entries = self.entries
-        # floats of distinct values can tie: step back
+        # floats of distinct values can tie (see ascending_key): step back
         # past entries that sort with v's float but exceed v
         while i >= 0 and entries[i][0] * vd > vn * entries[i][1]:
             i -= 1
