@@ -13,32 +13,26 @@ instead of running for minutes.
 Output is byte-deterministic for identical invocations. With --json a
 single object {verb, input, result, witnesses} is printed instead of
 the plain text form.
+
+Each run is one process answering one question, so start-up counts.
+This module loads only the hierarchy kernel (rationals, rules,
+hierarchy, minimal_sets); the tree, team and ordinal handlers import
+their own modules when they run, and json is imported only for --json.
+Every verb still builds Hierarchy(floor_level=--floor), so --floor is
+validated the same way whatever the verb.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
 from .errors import DomainError, FloorError, InputError
 from .hierarchy import Classification, Hierarchy
 from .minimal_sets import prune_dominated
-from .ordinals import alpha_at, format_ordinal, parse_ordinal
 from .rationals import format_rational, parse_rational
 from .rules import apply_rule
-from .teams import make_context, parse_trace, simulate_team, team_size
-from .trees import (
-    format_labeling,
-    format_path,
-    integer_labeling,
-    p_of_tree,
-    parse_labeling,
-    parse_tree,
-    rational_labeling,
-    validate_labeling,
-)
 
 
 # the most terms limit-seq --take or enum may ask for
@@ -60,6 +54,8 @@ def _read_file(path: str) -> str:
 
 def _emit(args, result, witnesses, plain_lines):
     if args.json:
+        import json
+
         arg_view = {
             k: v
             for k, v in sorted(vars(args).items())
@@ -157,6 +153,8 @@ def _cmd_xdmin(hier, args):
 
 
 def _cmd_tree_p(hier, args):
+    from .trees import p_of_tree, parse_tree
+
     tree = parse_tree(_read_file(args.file))
     p = p_of_tree(tree)
     _emit(args, format_rational(p), {}, [format_rational(p)])
@@ -164,6 +162,8 @@ def _cmd_tree_p(hier, args):
 
 
 def _cmd_tree_label(hier, args):
+    from .trees import format_labeling, integer_labeling, parse_tree, rational_labeling
+
     tree = parse_tree(_read_file(args.file))
     if args.integer:
         m, n, lab = integer_labeling(tree)
@@ -179,6 +179,8 @@ def _cmd_tree_label(hier, args):
 
 
 def _cmd_validate_label(hier, args):
+    from .trees import parse_labeling, parse_tree, validate_labeling
+
     tree = parse_tree(_read_file(args.file))
     lab = parse_labeling(_read_file(args.labelfile))
     ok, report = validate_labeling(tree, lab)
@@ -188,12 +190,16 @@ def _cmd_validate_label(hier, args):
 
 
 def _cmd_ord_eval(hier, args):
+    from .ordinals import format_ordinal, parse_ordinal
+
     o = parse_ordinal(args.expr)
     _emit(args, format_ordinal(o), {}, [format_ordinal(o)])
     return 0
 
 
 def _cmd_alpha(hier, args):
+    from .ordinals import alpha_at, format_ordinal
+
     x = parse_rational(args.x)
     o = alpha_at(x)
     _emit(args, format_ordinal(o), {}, [format_ordinal(o)])
@@ -201,6 +207,8 @@ def _cmd_alpha(hier, args):
 
 
 def _cmd_team_size(hier, args):
+    from .teams import team_size
+
     p = parse_rational(args.p)
     k = team_size(hier, p)
     _emit(args, k, {}, [str(k)])
@@ -208,6 +216,9 @@ def _cmd_team_size(hier, args):
 
 
 def _cmd_simulate(hier, args):
+    from .teams import make_context, parse_trace, simulate_team
+    from .trees import format_labeling, format_path
+
     trace = parse_trace(_read_file(args.tracefile))
     x = parse_rational(args.x)
     ctx = make_context(hier, x)

@@ -38,7 +38,7 @@ recursing without bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from heapq import heapify, heappop
 
@@ -56,8 +56,7 @@ class Classification(Enum):
     NOT_MEMBER = "NONE"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(namedtuple("Segment", "anchor_low r_lo r_hi")):
     """One piece [r_lo, r_hi] of the chain splitting an anchor interval.
 
     The anchor runs from anchor_low = p/(1+p) to r/(1+r) for consecutive
@@ -66,9 +65,7 @@ class Segment:
     point r_{i+1} belongs to the segment it bounds from below.
     """
 
-    anchor_low: ExactRational
-    r_lo: ExactRational
-    r_hi: ExactRational
+    __slots__ = ()
 
 
 # consecutive skipped raw indices after which a sequence is declared stuck

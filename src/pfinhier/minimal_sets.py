@@ -37,7 +37,6 @@ hand an inner set to find_smallest's integer step at a limit jump.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
@@ -51,11 +50,16 @@ Components = tuple[ExactRational, ...]
 Keyed = tuple[tuple[float, ExactRational], ...]
 
 
-@dataclass(frozen=True)
 class MinimalSet:
     """An (x, d)-minimal set. lo is the largest contribution total among
     its tuples (0 when there are none) and hi the next achievable total
-    above lo; every budget in [lo, hi) has the same set."""
+    above lo; every budget in [lo, hi) has the same set.
+
+    Read-only: its fields cannot be assigned. len and in count and test
+    its tuples. Two sets are equal when all their fields are.
+    """
+
+    __slots__ = ("x", "d", "floor", "delta", "p0_prime", "tuples", "lo", "hi")
 
     x: ExactRational
     d: ExactRational
@@ -65,6 +69,32 @@ class MinimalSet:
     tuples: tuple[Components, ...]
     lo: ExactRational
     hi: ExactRational
+
+    def __init__(self, x, d, floor, delta, p0_prime, tuples, lo, hi):
+        values = x, d, floor, delta, p0_prime, tuples, lo, hi
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a MinimalSet")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a MinimalSet")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"MinimalSet({fields})"
 
     def __contains__(self, item) -> bool:
         return tuple(item) in self.tuples

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior, driven in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from pfinhier.cli import MAX_COUNT, main
 
 SIX_ELEVEN = "(()(()()()))"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -24,7 +28,7 @@ def test_classify(capsys):
     assert run(capsys, "classify", "1")[1] == "MAX\n"
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     code, out, err = run(capsys, "pred", "1/2")
     assert code == 1 and out == ""
     assert "error:" in err and "limit" in err
@@ -34,8 +38,14 @@ def test_exit_codes(capsys):
     assert code == 3 and "floor" in err
     assert run(capsys, "--floor", "5", "classify", "1/6") == (0, "LIM\n", "")
     # a floor below 1 and a zero count are argument errors
-    code, out, err = run(capsys, "--floor", "0", "classify", "1/2")
-    assert code == 2 and out == "" and "floor" in err
+    tree_file = tmp_path / "t.tree"
+    tree_file.write_text(SIX_ELEVEN)
+    # verbs that query no hierarchy check --floor too
+    for argv in (("classify", "1/2"), ("ord-eval", "w"), ("alpha", "1/2"),
+                 ("tree-p", str(tree_file))):
+        code, out, err = run(capsys, "--floor", "0", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "floor" in err and err.count("\n") == 1
     code, out, err = run(capsys, "enum", "1/2", "1", "0")
     assert code == 2 and out == "" and "count" in err
     # a huge decimal exponent is refused at once instead of hanging
@@ -53,6 +63,34 @@ def test_exit_codes(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (want, "") and err.startswith("error:")
         assert err.count("\n") == 1
+
+
+# modules a verb loads only if it runs them
+WATCHED = ("pfinhier.teams", "pfinhier.trees", "pfinhier.ordinals", "dataclasses", "json")
+
+
+def modules_loaded_by(*argv):
+    """The WATCHED modules a fresh interpreter loads to run main(argv),
+    beyond those it had loaded before importing pfinhier."""
+    code = (
+        "import sys\n"
+        f"watched = {WATCHED!r}\n"
+        "before = {m for m in watched if m in sys.modules}\n"
+        "from pfinhier.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "print(*sorted(m for m in watched if m in sys.modules and m not in before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_each_verb_imports_only_what_it_runs():
+    assert modules_loaded_by("classify", "1/2") == set()
+    assert modules_loaded_by("--json", "classify", "1/2") == {"json"}
+    # ordinals itself needs dataclasses
+    assert modules_loaded_by("ord-eval", "w") - {"dataclasses"} == {"pfinhier.ordinals"}
 
 
 def test_version(capsys):

@@ -96,6 +96,15 @@ def test_membership_and_container_protocol(hier):
     assert (F(3, 5), F(2, 3)) in ms
     assert [F(3, 5), F(2, 3)] in ms
     assert (F(3, 5),) not in ms
+    # read-only, and equal (with equal hashes) to the same set from another hierarchy
+    with pytest.raises(AttributeError):
+        ms.tuples = ()
+    with pytest.raises(AttributeError):
+        del ms.x
+    assert len(ms) == 3 and ms.x == F(12, 25)
+    fresh = P(Hierarchy(floor_level=4), F(12, 25), F(12, 25))
+    assert fresh is not ms and fresh == ms and hash(fresh) == hash(ms)
+    assert fresh != P(hier, F(12, 25), F(1, 5))
 
 
 def test_domination_oracle(hier):
