@@ -37,15 +37,16 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "1/6")
     assert code == 3 and "floor" in err
     assert run(capsys, "--floor", "5", "classify", "1/6") == (0, "LIM\n", "")
-    # a floor below 1 and a zero count are argument errors
+    # a floor below 1 is an argument error, also on verbs that query no
+    # hierarchy
     tree_file = tmp_path / "t.tree"
     tree_file.write_text(SIX_ELEVEN)
-    # verbs that query no hierarchy check --floor too
     for argv in (("classify", "1/2"), ("ord-eval", "w"), ("alpha", "1/2"),
                  ("tree-p", str(tree_file))):
         code, out, err = run(capsys, "--floor", "0", *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and "floor" in err and err.count("\n") == 1
+    # so is a zero count
     code, out, err = run(capsys, "enum", "1/2", "1", "0")
     assert code == 2 and out == "" and "count" in err
     # a huge decimal exponent is refused at once instead of hanging
