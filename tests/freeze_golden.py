@@ -11,6 +11,12 @@ them:
   of every successor component of `xd_minimal(x, x)` for x in {3/7,
   5/12, 12/25, 7/17} (117 members, most with denominators beyond the
   grid's);
+- the `predecessor` of every successor below 1/2 whose predecessor a
+  cold `classify(41/100)` asks for (189 members; about 1 s of replay).
+  The points are recorded once, by freezing with a Hierarchy that notes
+  each `predecessor` argument, and the replay reads them back from the
+  corpus: a faster `predecessor` may ask for fewer of them, and the
+  answers at the frozen points must not change;
 - `team_size` and the allocator's team size of every grid member above
   5/12 (5/12 alone would add about 2 s to the replay);
 - `simulate_team` allocations for the traces of acceptance criterion 8
@@ -61,6 +67,7 @@ CHAIN_STEPS = 20
 XD_POINTS = (F(3, 7), F(5, 12), F(12, 25), F(1, 2))
 XD_BUDGET_SHARES = (F(1), F(3, 4), F(1, 2), F(1, 4))
 COMPONENT_POINTS = (F(3, 7), F(5, 12), F(12, 25), F(7, 17))
+LADDER_POINT = F(41, 100)
 STAR_LEAVES = (24, 48, 96)
 
 
@@ -91,9 +98,28 @@ def team_traces() -> list[MachineTrace]:
     return traces
 
 
-def build_corpus(hier: Hierarchy | None = None) -> dict:
-    """Every golden answer, as JSON-ready strings, from one Hierarchy."""
+def ladder_successors() -> list[F]:
+    """Successors below 1/2 whose predecessor cold classify(LADDER_POINT) asks for."""
+    asked = set()
+
+    class Recording(Hierarchy):
+        def predecessor(self, x):
+            if 2 * x.numerator < x.denominator:  # x < 1/2
+                asked.add(x)
+            return super().predecessor(x)
+
+    Recording(floor_level=4).classify(LADDER_POINT)
+    return sorted(asked)
+
+
+def build_corpus(hier: Hierarchy | None = None, ladder: list[F] | None = None) -> dict:
+    """Every golden answer, as JSON-ready strings, from one Hierarchy.
+
+    ladder lists the successors of the classify(LADDER_POINT) entry;
+    when it is None they are recorded afresh (ladder_successors).
+    """
     hier = hier or Hierarchy(floor_level=4)
+    ladder = ladder_successors() if ladder is None else ladder
     fmt = format_rational
     successors = set()
 
@@ -119,6 +145,7 @@ def build_corpus(hier: Hierarchy | None = None) -> dict:
         )
 
     predecessor = {fmt(x): fmt(hier.predecessor(x)) for x in sorted(successors)}
+    ladder_predecessor = {fmt(x): fmt(hier.predecessor(x)) for x in ladder}
 
     sizes = {fmt(x): team_size(hier, x) for x in members}
     allocation_sizes = {fmt(x): _allocation_team_size(hier, x) for x in members}
@@ -154,6 +181,7 @@ def build_corpus(hier: Hierarchy | None = None) -> dict:
         "bracket": bracket,
         "next_below_chain": [fmt(u) for u in chain],
         "predecessor": predecessor,
+        "ladder_predecessor": ladder_predecessor,
         "team_size": sizes,
         "allocation_team_size": allocation_sizes,
         "simulate_team": allocations,
