@@ -40,7 +40,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from heapq import heapify, heappop
+from heapq import heapify, heappop, heappush
+from itertools import count
 
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
@@ -114,28 +115,83 @@ def _generates(T, x: ExactRational) -> bool:
     return sn * xn == (k * xd - (k - 1) * xn) * sd
 
 
-def _pooled_variants(T, lower_of):
-    """Pooled values of the variants of the ascending member tuple T.
+def _swaps(T, sn, sd, lower_of):
+    """Pooled values (num, den) of T with one component p replaced by
+    lower_of(p), wherever that is not None; T's reciprocals sum to sn/sd.
 
-    Yields unreduced integer pairs (num, den): for T itself, for T with
-    one component dropped (while one remains), and for T with a component
-    p replaced by lower_of(p) wherever that is not None. A variant of k
-    components whose reciprocals sum to n/d pools to k*d / ((k - 1)*d + n),
-    so one integer sum over T gives every variant in O(1).
+    A variant of k components whose reciprocals sum to n/d pools to
+    k*d / ((k - 1)*d + n), so each swap follows from sn/sd in O(1).
     """
-    s = len(T)
-    sn, sd = reciprocal_sum(T)
-    yield s * sd, (s - 1) * sd + sn
+    k = len(T)
     for p in T:
-        pn, pd = p.numerator, p.denominator
-        rn, rd = sn * pn - pd * sd, sd * pn  # p dropped
-        if s > 1:
-            yield (s - 1) * rd, (s - 2) * rd + rn
         q = lower_of(p)
         if q is not None:
-            qn, qd = q.numerator, q.denominator
+            pn, pd, qn, qd = p._numerator, p._denominator, q._numerator, q._denominator
+            rn, rd = sn * pn - pd * sd, sd * pn  # p dropped
             n, d = rn * qn + qd * rd, rd * qn
-            yield s * d, (s - 1) * d + n
+            yield k * d, (k - 1) * d + n
+
+
+def _drop(T, j, sn, sd):
+    """Pooled value (num, den) of T without T[j]; T's reciprocals sum to sn/sd."""
+    p = T[j]
+    pn = p._numerator
+    rn, rd = sn * pn - p._denominator * sd, sd * pn
+    k = len(T) - 1
+    return k * rd, (k - 1) * rd + rn
+
+
+def _candidates(tuples, x: ExactRational, lower_of):
+    """The variant values above x of the stored tuples of xd_minimal(x, x),
+    in exact ascending order, each variant once (see predecessor).
+
+    A lazy best-first search. Heap entries are (float, counter, num, den,
+    T, j, sn, sd): the value num/den and its float, a counter that settles
+    equal floats before any tuple is compared, and what the entry spawns
+    when popped. j == len(T) marks T's own value, which spawns T's swaps;
+    j < len(T) marks T without T[j], which spawns T without T[j - 1];
+    T is None marks a swap, which spawns nothing. sn/sd is T's reciprocal
+    sum, taken once per tuple in integers.
+    """
+    xn, xd = x._numerator, x._denominator
+    counter = count()
+    heap = []
+    for T in tuples:
+        k = len(T)
+        sn, sd = reciprocal_sum(T)
+        num, den = k * sd, (k - 1) * sd + sn
+        side = num * xd - xn * den
+        if side > 0:
+            heap.append((num / den, next(counter), num, den, T, k, sn, sd))
+        elif side == 0:  # T generates x
+            for num, den in _swaps(T, sn, sd, lower_of):
+                heap.append((num / den, next(counter), num, den, None, 0, 0, 0))
+        else:
+            raise ConsistencyError(f"a stored tuple of {x} pools below it")
+        if k > 1:
+            num, den = _drop(T, k - 1, sn, sd)
+            if num * xd <= xn * den:
+                raise ConsistencyError(f"a stored tuple of {x} less a component pools to at most {x}")
+            heap.append((num / den, next(counter), num, den, T, k - 1, sn, sd))
+    heapify(heap)
+    while heap:
+        # equal floats may hide distinct values: gather the whole run,
+        # entries it spawns included, and order it exactly
+        f = heap[0][0]
+        tied = []
+        while heap and heap[0][0] == f:
+            _, _, num, den, T, j, sn, sd = heappop(heap)
+            tied.append(ExactRational(num, den))
+            if T is None:
+                continue
+            if j == len(T):
+                for num, den in _swaps(T, sn, sd, lower_of):
+                    heappush(heap, (num / den, next(counter), num, den, None, 0, 0, 0))
+            elif j:
+                num, den = _drop(T, j - 1, sn, sd)
+                heappush(heap, (num / den, next(counter), num, den, T, j - 1, sn, sd))
+        tied.sort()
+        yield from tied
 
 
 class Hierarchy:
@@ -196,10 +252,13 @@ class Hierarchy:
         if x == seg.r_lo:
             return Classification.LIMIT
         P = self.xd_minimal(x, x)
-        generators = [T for T in P.tuples if _generates(T, x)]
-        if not generators:
+        # lo is the largest total among the stored tuples, and a generator
+        # is a stored tuple whose total is x
+        if P.lo != x:
             return Classification.NOT_MEMBER
-        for T in generators:
+        for T in P.tuples:
+            if not _generates(T, x):
+                continue
             if any(self.classify(c) is Classification.LIMIT for c in T):
                 return Classification.LIMIT
         return Classification.SUCCESSOR
@@ -252,13 +311,38 @@ class Hierarchy:
         by its predecessor. Candidates above x are tried in ascending
         order, and the first member is the answer.
 
-        Each variant's value follows in O(1) from T's reciprocal sum, taken
-        once in integers (_pooled_variants), and is compared with x by
-        cross-multiplication. Candidates leave a heap keyed on their
-        floats. Distinct values can round to the same float, and trying the
-        larger of two tied members first would return a member that is not
-        the next one above x, so each run of equal floats is sorted exactly
-        before any of it is tried.
+        The candidates come from a lazy best-first search (_candidates)
+        that builds a variant only when the search can reach it. Each
+        stored T is ascending, and each of its components contributes
+        c(x, p) > 0 to a total of at most x, so:
+
+        - T's own value is at least x, and equals x exactly when T
+          generates x;
+        - every drop lies above x, since dropping a component takes the
+          total below x;
+        - every swap lies above T's own value, since predecessor(p) > p;
+        - drops ascend as the dropped index falls: without T[-1] is the
+          least, without T[0] the greatest.
+
+        The heap starts with T's own value when it lies above x, the
+        drop chain's head (T without T[-1]) when T has two components or
+        more, and, when T generates x, T's swaps. Popping an own value
+        pushes its swaps; this is the only place a component outside a
+        generator is classified and lowered. Popping the drop of T[j]
+        pushes the drop of T[j - 1]. Invariant: every candidate not yet
+        built is at least the entry that will spawn it, and that entry
+        is in the heap; so the heap's least entry is the least candidate
+        not yet tried, and the candidates, duplicates included, leave in
+        the order of sorting all of them at once.
+
+        Each value follows in O(1) from T's reciprocal sum, taken once
+        in integers, and entries are keyed on their floats. Integer true
+        division rounds correctly, so a spawned entry's float is at least
+        the float that spawned it. Distinct values can round to the same
+        float, and trying the larger of two tied members first would
+        return a member that is not the next one above x, so each run of
+        equal floats, entries spawned while popping it included, is
+        sorted exactly before any of it is tried.
         """
         cls = self.classify(x)
         if cls is not Classification.SUCCESSOR:
@@ -271,33 +355,13 @@ class Hierarchy:
         n = x.numerator
         if 2 * n > x.denominator:  # x > 1/2
             return self._member(ExactRational(n - 1, 2 * (n - 1) - 1))
-        lower = {}  # (numerator, denominator) of a component -> its predecessor or None
 
         def lower_of(p):
-            key = p.numerator, p.denominator
-            if key not in lower:
-                lower[key] = (
-                    self.predecessor(p) if self.classify(p) is Classification.SUCCESSOR else None
-                )
-            return lower[key]
+            return self.predecessor(p) if self.classify(p) is Classification.SUCCESSOR else None
 
-        xn, xd = x.numerator, x.denominator
-        above = []
-        for T in self.xd_minimal(x, x).tuples:
-            for num, den in _pooled_variants(T, lower_of):
-                if num * xd > xn * den:
-                    above.append((num / den, num, den))
-        heapify(above)
-        while above:
-            # equal floats may hide distinct values: order them exactly
-            f = above[0][0]
-            tied = []
-            while above and above[0][0] == f:
-                _, num, den = heappop(above)
-                tied.append(ExactRational(num, den))
-            for value in sorted(tied):
-                if self.classify(value) is not Classification.NOT_MEMBER:
-                    return self._member(value)
+        for value in _candidates(self.xd_minimal(x, x).tuples, x, lower_of):
+            if self.classify(value) is not Classification.NOT_MEMBER:
+                return self._member(value)
         raise ConsistencyError(f"no member candidate above successor {x}")
 
     # ---- limit sequences ----

@@ -39,10 +39,16 @@ def apply_rule(components: Sequence[ExactRational]) -> ExactRational:
 
 
 def reciprocal_sum(components: Sequence[ExactRational]) -> tuple[int, int]:
-    """sum(1/p_i) as an unreduced integer pair (num, den), den > 0."""
+    """sum(1/p_i) as an unreduced integer pair (num, den), den > 0.
+
+    Reads each Fraction's slots, not its numerator and denominator
+    properties: this loop runs once per stored tuple of a successor's
+    minimal set.
+    """
     num, den = 0, 1
     for p in components:
-        num, den = num * p.numerator + den * p.denominator, den * p.numerator
+        pn = p._numerator
+        num, den = num * pn + den * p._denominator, den * pn
     return num, den
 
 

@@ -3,14 +3,16 @@
 Everything here recomputes answers from first principles, deliberately
 avoiding the package's own walk/recursion code paths: a closure
 enumeration over the base segment, an exhaustive/random allowed-tuple
-generator, and an exact-rational LP feasibility decision for labelings.
+generator, an exact-rational LP feasibility decision for labelings, and
+the eager predecessor search the kernel's lazy one must agree with.
 Slower than the kernel by design; correctness over speed.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop
 from itertools import combinations_with_replacement
 
-from pfinhier import apply_rule, contribution, is_valid_application
+from pfinhier import Classification, apply_rule, contribution, is_valid_application
 from pfinhier.trees import iter_nodes, leaf_paths
 
 F = Fraction
@@ -98,6 +100,61 @@ def sample_allowed_tuples(rng, x: Fraction, d: Fraction, pool, count: int):
         if total <= d:
             out.append(T)
     return out
+
+
+def pooled_variants(T, lower_of):
+    """Pooled values (num, den) of every variant of the ascending tuple T.
+
+    T itself, T with one component dropped (while one remains), and T
+    with a component p replaced by lower_of(p) wherever that is not None.
+    A variant of k components whose reciprocals sum to n/d pools to
+    k*d / ((k - 1)*d + n), so one integer sum over T gives each in O(1).
+    """
+    s = len(T)
+    sn, sd = 0, 1
+    for p in T:
+        sn, sd = sn * p.numerator + sd * p.denominator, sd * p.numerator
+    yield s * sd, (s - 1) * sd + sn
+    for p in T:
+        pn, pd = p.numerator, p.denominator
+        rn, rd = sn * pn - pd * sd, sd * pn  # p dropped
+        if s > 1:
+            yield (s - 1) * rd, (s - 2) * rd + rn
+        q = lower_of(p)
+        if q is not None:
+            qn, qd = q.numerator, q.denominator
+            n, d = rn * qn + qd * rd, rd * qn
+            yield s * d, (s - 1) * d + n
+
+
+def eager_predecessor(hier, x: Fraction) -> Fraction:
+    """The predecessor of the successor x < 1/2, by the eager search.
+
+    Pools every variant of every tuple of xd_minimal(x, x) up front, keeps
+    those above x, and tries them in exact ascending order (each run of
+    equal floats sorted exactly) until one is a member. Components are
+    lowered through hier.predecessor.
+    """
+    def lower_of(p):
+        return hier.predecessor(p) if hier.classify(p) is Classification.SUCCESSOR else None
+
+    xn, xd = x.numerator, x.denominator
+    above = []
+    for T in hier.xd_minimal(x, x).tuples:
+        for num, den in pooled_variants(T, lower_of):
+            if num * xd > xn * den:
+                above.append((num / den, num, den))
+    heapify(above)
+    while above:
+        f = above[0][0]
+        tied = []
+        while above and above[0][0] == f:
+            _, num, den = heappop(above)
+            tied.append(Fraction(num, den))
+        for value in sorted(tied):
+            if hier.classify(value) is not Classification.NOT_MEMBER:
+                return value
+    raise AssertionError(f"no member candidate above successor {x}")
 
 
 def dominated_by_some(T, stored) -> bool:

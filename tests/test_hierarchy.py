@@ -1,5 +1,7 @@
 """Classification, neighbors, limit sequences, and the decision procedure."""
 
+import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -13,8 +15,13 @@ from pfinhier import (
     Hierarchy,
     InputError,
     apply_rule,
+    h_inverse,
+    parse_rational,
 )
-from pfinhier.hierarchy import _pooled_variants
+from pfinhier.hierarchy import _candidates, _generates
+
+from freeze_golden import GOLDEN
+from oracles import eager_predecessor
 
 # rationals kept above the chain segment, where every query is cheap
 fast_zone = st.fractions(min_value=F(4, 9), max_value=F(1), max_denominator=120)
@@ -104,22 +111,71 @@ def test_members_are_interned_per_hierarchy():
                 assert c == seen[c] and c is not seen[c]
 
 
-def test_pooled_variants_match_apply_rule(hier):
-    # the integer shortcut against pooling every variant tuple outright
+def test_candidates_drain_to_every_variant(hier):
+    # drained to the end, the lazy search yields, in ascending order, the
+    # values above x of T, of T less each component and of T with each
+    # successor component lowered, over every stored T, pooled outright
     x = F(7, 17)
 
     def lower_of(p):
         return hier.predecessor(p) if hier.classify(p) is Classification.SUCCESSOR else None
 
-    for T in hier.xd_minimal(x, x).tuples:
-        expected = [apply_rule(T)]
+    tuples = hier.xd_minimal(x, x).tuples
+    expected = Counter()
+    for T in tuples:
+        variants = [T]
         for j, p in enumerate(T):
             rest = T[:j] + T[j + 1:]
             if rest:
-                expected.append(apply_rule(rest))
+                variants.append(rest)
             if lower_of(p) is not None:
-                expected.append(apply_rule(rest + (lower_of(p),)))
-        assert [F(n, d) for n, d in _pooled_variants(T, lower_of)] == expected
+                variants.append(rest + (lower_of(p),))
+        expected.update(v for v in map(apply_rule, variants) if v > x)
+    drained = list(_candidates(tuples, x, lower_of))
+    assert drained == sorted(drained)
+    assert Counter(drained) == expected
+
+
+def walk_path_points(hier, low, high, max_den):
+    """Points of [low, high) with denominator at most max_den that classify
+    decides from xd_minimal(x, x): not images of members, not chain points."""
+    points = sorted({F(n, d) for d in range(1, max_den + 1) for n in range(1, d)})
+    return [
+        x for x in points
+        if low <= x < high
+        and hier.classify(h_inverse(x)) is Classification.NOT_MEMBER
+        and x != hier.segment_of(x).r_lo
+    ]
+
+
+def test_lo_decides_membership(hier):
+    # a generator is a stored tuple whose total is x, and lo is the largest
+    # stored total: so some tuple generates x exactly when lo == x
+    points = walk_path_points(hier, F(5, 12), F(1, 2), 30)
+    seen = Counter()
+    for x in points:
+        P = hier.xd_minimal(x, x)
+        generated = any(_generates(T, x) for T in P.tuples)
+        assert (P.lo == x) == generated
+        assert (hier.classify(x) is not Classification.NOT_MEMBER) == generated
+        seen[generated] += 1
+    assert seen == Counter({True: 12, False: 9})
+
+
+def test_lazy_predecessor_matches_eager(hier):
+    # every successor below 1/2 in the golden corpus, and every successor
+    # of the [5/12, 1/2) grid with denominator at most 30
+    corpus = json.loads(GOLDEN.read_text())
+    frozen = [*corpus["predecessor"], *corpus["ladder_predecessor"]]
+    points = {parse_rational(x) for x in frozen}
+    points.update(
+        F(n, d) for d in range(1, 31) for n in range(1, d) if F(5, 12) <= F(n, d) < F(1, 2))
+    successors = sorted(
+        x for x in points
+        if x < F(1, 2) and hier.classify(x) is Classification.SUCCESSOR)
+    assert len(successors) == 223
+    for x in successors:
+        assert hier.predecessor(x) == eager_predecessor(hier, x)
 
 
 def test_predecessor_domain(hier):
