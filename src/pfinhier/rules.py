@@ -42,8 +42,8 @@ def reciprocal_sum(components: Sequence[ExactRational]) -> tuple[int, int]:
     """sum(1/p_i) as an unreduced integer pair (num, den), den > 0.
 
     Reads each Fraction's slots, not its numerator and denominator
-    properties: this loop runs once per stored tuple of a successor's
-    minimal set.
+    properties, which cost a call each: classify and predecessor sum
+    every stored tuple of a successor's minimal set.
     """
     num, den = 0, 1
     for p in components:

@@ -25,6 +25,9 @@ from oracles import eager_predecessor
 
 # rationals kept above the chain segment, where every query is cheap
 fast_zone = st.fractions(min_value=F(4, 9), max_value=F(1), max_denominator=120)
+# [5/12, 1/2) with denominators up to 30: the walk below 1/2, cheap when warm
+LOW_GRID = sorted(
+    {F(n, d) for d in range(2, 31) for n in range(1, d) if F(5, 12) <= F(n, d) < F(1, 2)})
 
 
 def test_classify_frozen(hier):
@@ -136,24 +139,15 @@ def test_candidates_drain_to_every_variant(hier):
     assert Counter(drained) == expected
 
 
-def walk_path_points(hier, low, high, max_den):
-    """Points of [low, high) with denominator at most max_den that classify
-    decides from xd_minimal(x, x): not images of members, not chain points."""
-    points = sorted({F(n, d) for d in range(1, max_den + 1) for n in range(1, d)})
-    return [
-        x for x in points
-        if low <= x < high
-        and hier.classify(h_inverse(x)) is Classification.NOT_MEMBER
-        and x != hier.segment_of(x).r_lo
-    ]
-
-
 def test_lo_decides_membership(hier):
     # a generator is a stored tuple whose total is x, and lo is the largest
-    # stored total: so some tuple generates x exactly when lo == x
-    points = walk_path_points(hier, F(5, 12), F(1, 2), 30)
+    # stored total: so some tuple generates x exactly when lo == x. Checked
+    # where classify reads xd_minimal(x, x): off images and chain points
     seen = Counter()
-    for x in points:
+    for x in LOW_GRID:
+        if (hier.classify(h_inverse(x)) is not Classification.NOT_MEMBER
+                or x == hier.segment_of(x).r_lo):
+            continue
         P = hier.xd_minimal(x, x)
         generated = any(_generates(T, x) for T in P.tuples)
         assert (P.lo == x) == generated
@@ -163,13 +157,10 @@ def test_lo_decides_membership(hier):
 
 
 def test_lazy_predecessor_matches_eager(hier):
-    # every successor below 1/2 in the golden corpus, and every successor
-    # of the [5/12, 1/2) grid with denominator at most 30
+    # every successor below 1/2 in the golden corpus or in LOW_GRID
     corpus = json.loads(GOLDEN.read_text())
     frozen = [*corpus["predecessor"], *corpus["ladder_predecessor"]]
-    points = {parse_rational(x) for x in frozen}
-    points.update(
-        F(n, d) for d in range(1, 31) for n in range(1, d) if F(5, 12) <= F(n, d) < F(1, 2))
+    points = {parse_rational(x) for x in frozen}.union(LOW_GRID)
     successors = sorted(
         x for x in points
         if x < F(1, 2) and hier.classify(x) is Classification.SUCCESSOR)
