@@ -47,7 +47,8 @@ from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
 from .memo import memoized
 from .rationals import ExactRational, HALF, ONE, ZERO, ascending_key
-from .rules import apply_rule, h_inverse, h_map, is_valid_application, reciprocal_sum
+from .minimal_sets import reciprocal_sum
+from .rules import apply_rule, h_inverse, h_map, is_valid_application
 
 
 class Classification(Enum):
@@ -108,22 +109,24 @@ class LimitSequence:
 
 
 def _generates(T, x: ExactRational) -> bool:
-    """Whether apply_rule(T) == x: T's k reciprocals sum to k/x - (k - 1)."""
+    """Whether apply_rule(T) == x for the keyed tuple T: its k reciprocals
+    sum to k/x - (k - 1)."""
     k = len(T)
     sn, sd = reciprocal_sum(T)
-    xn, xd = x.numerator, x.denominator
+    xn, xd = x._numerator, x._denominator
     return sn * xn == (k * xd - (k - 1) * xn) * sd
 
 
 def _swaps(T, sn, sd, lower_of):
-    """Pooled values (num, den) of T with one component p replaced by
-    lower_of(p), wherever that is not None; T's reciprocals sum to sn/sd.
+    """Pooled values (num, den) of the keyed tuple T with one component p
+    replaced by lower_of(p), wherever that is not None; T's reciprocals
+    sum to sn/sd.
 
     A variant of k components whose reciprocals sum to n/d pools to
     k*d / ((k - 1)*d + n), so each swap follows from sn/sd in O(1).
     """
     k = len(T)
-    for p in T:
+    for _, p in T:
         q = lower_of(p)
         if q is not None:
             pn, pd, qn, qd = p._numerator, p._denominator, q._numerator, q._denominator
@@ -133,17 +136,19 @@ def _swaps(T, sn, sd, lower_of):
 
 
 def _drop(T, j, sn, sd):
-    """Pooled value (num, den) of T without T[j]; T's reciprocals sum to sn/sd."""
-    p = T[j]
+    """Pooled value (num, den) of the keyed tuple T without its j-th
+    component; T's reciprocals sum to sn/sd."""
+    p = T[j][1]
     pn = p._numerator
     rn, rd = sn * pn - p._denominator * sd, sd * pn
     k = len(T) - 1
     return k * rd, (k - 1) * rd + rn
 
 
-def _candidates(tuples, x: ExactRational, lower_of):
-    """The variant values above x of the stored tuples of xd_minimal(x, x),
-    in exact ascending order, each variant once (see predecessor).
+def _candidates(keyed, x: ExactRational, lower_of):
+    """The variant values above x of the stored keyed tuples of
+    xd_minimal(x, x), in exact ascending order, each variant once (see
+    predecessor).
 
     A lazy best-first search. Heap entries are (float, counter, num, den,
     T, j, sn, sd): the value num/den and its float, a counter that settles
@@ -156,7 +161,7 @@ def _candidates(tuples, x: ExactRational, lower_of):
     xn, xd = x._numerator, x._denominator
     counter = count()
     heap = []
-    for T in tuples:
+    for T in keyed:
         k = len(T)
         sn, sd = reciprocal_sum(T)
         num, den = k * sd, (k - 1) * sd + sn
@@ -222,7 +227,7 @@ class Hierarchy:
         # integer comparisons: runs ahead of every memo lookup
         if not isinstance(x, ExactRational):
             raise InputError(f"expected an exact rational, got {type(x).__name__}")
-        n, den = x.numerator, x.denominator
+        n, den = x._numerator, x._denominator
         if not (0 < n <= den):
             raise InputError(f"probability out of (0, 1]: {x}")
         # x >= 1/(L+1)  <=>  n*(L+1) >= den
@@ -236,7 +241,7 @@ class Hierarchy:
 
     @memoized(_check)
     def classify(self, x: ExactRational) -> Classification:
-        n, den = x.numerator, x.denominator
+        n, den = x._numerator, x._denominator
         if 2 * n >= den:  # x >= 1/2
             if n == den:
                 return Classification.MAXIMAL
@@ -251,15 +256,15 @@ class Hierarchy:
         seg = self.segment_of(x)
         if x == seg.r_lo:
             return Classification.LIMIT
-        P = self.xd_minimal(x, x)
+        lo_n, lo_d, _, _, keyed = minimal_sets._xx_entry(self, x, self.governing_floor(x))
         # lo is the largest total among the stored tuples, and a generator
-        # is a stored tuple whose total is x
-        if P.lo != x:
+        # is a stored tuple whose total is x; both ends are reduced
+        if lo_n != n or lo_d != den:
             return Classification.NOT_MEMBER
-        for T in P.tuples:
+        for T in keyed:
             if not _generates(T, x):
                 continue
-            if any(self.classify(c) is Classification.LIMIT for c in T):
+            if any(self.classify(c) is Classification.LIMIT for _, c in T):
                 return Classification.LIMIT
         return Classification.SUCCESSOR
 
@@ -312,7 +317,10 @@ class Hierarchy:
         order, and the first member is the answer.
 
         The candidates come from a lazy best-first search (_candidates)
-        that builds a variant only when the search can reach it. Each
+        that builds a variant only when the search can reach it. It reads
+        the stored tuples as they sit in the (x, x) budget-table entry
+        (minimal_sets._xx_entry), as keyed tuples of (float, member)
+        pairs, so no MinimalSet is built and no tuple is stripped. Each
         stored T is ascending, and each of its components contributes
         c(x, p) > 0 to a total of at most x, so:
 
@@ -336,13 +344,13 @@ class Hierarchy:
         the order of sorting all of them at once.
 
         Each value follows in O(1) from T's reciprocal sum, taken once
-        in integers, and entries are keyed on their floats. Integer true
-        division rounds correctly, so a spawned entry's float is at least
-        the float that spawned it. Distinct values can round to the same
-        float, and trying the larger of two tied members first would
-        return a member that is not the next one above x, so each run of
-        equal floats, entries spawned while popping it included, is
-        sorted exactly before any of it is tried.
+        in integers over its keys, and entries are keyed on their floats.
+        Integer true division rounds correctly, so a spawned entry's
+        float is at least the float that spawned it. Distinct values can
+        round to the same float, and trying the larger of two tied
+        members first would return a member that is not the next one
+        above x, so each run of equal floats, entries spawned while
+        popping it included, is sorted exactly before any of it is tried.
         """
         cls = self.classify(x)
         if cls is not Classification.SUCCESSOR:
@@ -352,14 +360,15 @@ class Hierarchy:
                 Classification.NOT_MEMBER: "not a member",
             }[cls]
             raise DomainError(f"no predecessor: {x} is {kind}")
-        n = x.numerator
-        if 2 * n > x.denominator:  # x > 1/2
+        n = x._numerator
+        if 2 * n > x._denominator:  # x > 1/2
             return self._member(ExactRational(n - 1, 2 * (n - 1) - 1))
 
         def lower_of(p):
             return self.predecessor(p) if self.classify(p) is Classification.SUCCESSOR else None
 
-        for value in _candidates(self.xd_minimal(x, x).tuples, x, lower_of):
+        keyed = minimal_sets._xx_entry(self, x, self.governing_floor(x))[4]
+        for value in _candidates(keyed, x, lower_of):
             if self.classify(value) is not Classification.NOT_MEMBER:
                 return self._member(value)
         raise ConsistencyError(f"no member candidate above successor {x}")
@@ -387,10 +396,10 @@ class Hierarchy:
             p = h_inverse(seg.anchor_low)
             upper = self.limit_sequence(seg.r_hi)
             return self._substituted_sequence((p, p), 1, upper, seg.r_hi)
-        P = self.xd_minimal(x, x)
-        for T in P.tuples:
-            if not _generates(T, x):
+        for K in minimal_sets._xx_entry(self, x, self.governing_floor(x))[4]:
+            if not _generates(K, x):
                 continue
+            T = tuple(c for _, c in K)
             for j, c in enumerate(T):
                 if self.classify(c) is Classification.LIMIT:
                     return self._substituted_sequence(T, j, self.limit_sequence(c), seg.r_hi)
@@ -425,7 +434,7 @@ class Hierarchy:
     @memoized(_check)
     def bracket(self, p: ExactRational):
         """Largest member <= p and smallest member >= p."""
-        pn, pd = p.numerator, p.denominator
+        pn, pd = p._numerator, p._denominator
         if pn == 1:
             # every 1/k is a member: 1, 1/2, and the images of 1/(k-1)
             p = self._member(p)
@@ -471,8 +480,8 @@ class Hierarchy:
         floor edge 1/(L+1), whose neighbor lies under the floor (FloorError)."""
         if self.classify(u) is Classification.NOT_MEMBER:
             raise DomainError(f"next_below needs a member, got {u}")
-        n = u.numerator
-        if 2 * n > u.denominator:  # u > 1/2
+        n = u._numerator
+        if 2 * n > u._denominator:  # u > 1/2
             return self._member(ExactRational(n + 1, 2 * n + 1))
         lo, hi = self._climb(u, strict=True)
         if hi != u:

@@ -27,11 +27,16 @@ admit no tuple and return the empty set before any table lookup.
 Inside the table and the walk a tuple is stored as its exact sort key:
 the tuple of its members' keys (float, member), each built once by the
 handle's intern table (Hierarchy._key). The walk inserts a component
-into an ascending keyed tuple by bisection and orders a set as
-(length, keyed tuple) pairs with a plain sort, which compares floats and
-falls back to the exact members only when two floats tie. The public
-xd_minimal strips the keys once per call; the walk strips them only to
-hand an inner set to find_smallest's integer step at a limit jump.
+into an ascending keyed tuple by bisection, collects the extended tuples
+in one bucket per length, and orders a set by sorting each bucket with
+a plain sort, which compares floats and falls back to the exact members
+only when two floats tie, then dropping adjacent repeats (_ordered).
+
+Only the public xd_minimal strips the keys, once per call. Everything
+inside the kernel reads keyed tuples: the walk hands its inner sets to
+find_smallest's integer step as they are stored, and classify,
+predecessor and limit_sequence read the stored (x, x) entry through
+_xx_entry, so they neither build a MinimalSet nor strip a tuple.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from operator import itemgetter
 
 from .errors import ConsistencyError, InputError
 from .memo import memoized
-from .rationals import ExactRational, ONE
-from .rules import contribution, reciprocal_sum
+from .rationals import ExactRational, ONE, ascending_key
+from .rules import contribution
 
 Components = tuple[ExactRational, ...]
 # a tuple of members as its exact sort key: each member's (float, member)
@@ -107,6 +112,35 @@ def _stripped(keyed: tuple[Keyed, ...]) -> tuple[Components, ...]:
     """The member tuples behind keyed tuples."""
     member = itemgetter(1)
     return tuple(tuple(map(member, K)) for K in keyed)
+
+
+def reciprocal_sum(K: Keyed) -> tuple[int, int]:
+    """The sum of the reciprocals of a keyed tuple's members, as an
+    unreduced integer pair (num, den), den > 0, read from the slots."""
+    num, den = 0, 1
+    for _, p in K:
+        pn = p._numerator
+        num, den = num * pn + den * p._denominator, den * pn
+    return num, den
+
+
+def _ordered(buckets: dict[int, list[Keyed]]) -> tuple[Keyed, ...]:
+    """The distinct keyed tuples of buckets, which maps a length to the
+    tuples of that length, in (length, components) order.
+
+    A plain sort of a bucket compares floats and falls back to the exact
+    members only when two floats tie; equal tuples sort adjacent.
+    """
+    keyed = []
+    for n in sorted(buckets):
+        bucket = buckets[n]
+        bucket.sort()
+        prev = None
+        for K in bucket:
+            if K != prev:
+                keyed.append(K)
+                prev = K
+    return tuple(keyed)
 
 
 def _reduced(n: int, d: int) -> tuple[int, int]:
@@ -203,13 +237,13 @@ def _smallest_with_contribution_at_most(hier, x, floor, bn: int, bd: int):
 
     The walk asks only for bounds of at least delta, which p0' meets.
     """
-    xn, xd = x.numerator, x.denominator
+    xn, xd = x._numerator, x._denominator
     # bound + 1 - x = a / (bd*xd), so the threshold x/(bound + 1 - x) is xn*bd / a
     a = (bn + bd) * xd - xn * bd
     tn = xn * bd
     if a <= 0 or tn > a:  # the threshold is negative or exceeds 1
         raise ConsistencyError(f"no component fits the bound {bn}/{bd} >= delta")
-    if floor.numerator * a >= tn * floor.denominator:
+    if floor._numerator * a >= tn * floor._denominator:
         # every member from the floor up fits; none below it counts
         return hier.bracket(floor)[1], None
     below, y = hier.bracket(ExactRational(tn, a))
@@ -232,30 +266,35 @@ def find_smallest(hier, P: MinimalSet, x: ExactRational, d: ExactRational):
     while the singleton (3/5) reaches 1/9.
     """
     table = _budget_table(hier, x, P.floor)
-    t = _next_total(hier, table, P.tuples, d.numerator, d.denominator)
+    keyed = tuple(tuple(map(ascending_key, T)) for T in P.tuples)
+    t = _next_total(hier, table, keyed, d.numerator, d.denominator)
     return None if t is None else ExactRational(*t)
 
 
-def _next_total(hier, table: _BudgetTable, tuples, rn: int, rd: int):
-    """find_smallest on integer pairs: the least total above rn/rd among
-    one-step changes of the tuples, as a reduced pair, or None."""
+def _next_total(hier, table: _BudgetTable, keyed: tuple[Keyed, ...], rn: int, rd: int):
+    """find_smallest on integer pairs and keyed tuples: the least total
+    above rn/rd among one-step changes of the tuples, as a reduced pair,
+    or None."""
     x, floor = table.x, table.floor
-    xn, xd = x.numerator, x.denominator
-    en, ed = table.delta.numerator, table.delta.denominator
+    xn, xd = x._numerator, x._denominator
+    fn, fd = floor._numerator, floor._denominator
+    en, ed = table.delta._numerator, table.delta._denominator
+    next_below = hier.next_below
     best_n, best_d = 1, 0  # +infinity until the first candidate
-    for T in tuples + ((),):
+    for K in keyed + ((),):
         # k components whose reciprocals sum to sn/sd total
         # (xn*sn + k*(xn - xd)*sd) / (xd*sd)
-        k = len(T)
-        sn, sd = reciprocal_sum(T)
+        k = len(K)
+        sn, sd = reciprocal_sum(K)
         tn, td = xn * sn + k * (xn - xd) * sd, xd * sd
         candidates = [(tn * ed + en * td, td * ed)]  # append p0'
-        for p in T:
-            q = hier.next_below(p)
-            if q < floor:
+        for _, p in K:
+            q = next_below(p)
+            qn, qd = q._numerator, q._denominator
+            if qn * fd < fn * qd:  # q < floor
                 continue
             # swap 1/p for 1/q in the reciprocal sum
-            pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+            pn, pd = p._numerator, p._denominator
             wn = (sn * pn - sd * pd) * qn + sd * pn * qd
             wd = sd * pn * qn
             candidates.append((xn * wn + k * (xn - xd) * wd, xd * wd))
@@ -347,12 +386,22 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
     )
 
 
+def _xx_entry(hier, x: ExactRational, floor: ExactRational):
+    """The table entry (lo_n, lo_d, hi_n, hi_d, keyed) answering xd_minimal(x, x)
+    over [floor, 1], for an x that already passed its caller's guard.
+
+    classify, predecessor and limit_sequence read the stored entry here,
+    so they neither build a MinimalSet nor strip its keys.
+    """
+    return _minimal(hier, _budget_table(hier, x, floor), x._numerator, x._denominator)
+
+
 def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
     """The entry (lo_n, lo_d, hi_n, hi_d, keyed) answering budget dn/dd."""
     x, delta = table.x, table.delta
-    if dn < 0 or dn * x.denominator > x.numerator * dd:
+    if dn < 0 or dn * x._denominator > x._numerator * dd:
         raise ConsistencyError(f"budget {dn}/{dd} left [0, {x}]")
-    en, ed = delta.numerator, delta.denominator
+    en, ed = delta._numerator, delta._denominator
     if dn * ed < en * dd:
         return 0, 1, en, ed, ()  # d < delta: no component fits
     entry = table.lookup(dn, dd)
@@ -366,10 +415,12 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
     """The walk of xd_minimal at d = dn/dd >= delta: (lo_n, lo_d, hi_n, hi_d, keyed)."""
     from .hierarchy import Classification  # import cycle: hierarchy imports this module
 
+    classify, predecessor, key = hier.classify, hier.predecessor, hier._key
+    MAXIMAL, SUCCESSOR = Classification.MAXIMAL, Classification.SUCCESSOR
     x, floor = table.x, table.floor
-    xn, xd = x.numerator, x.denominator
-    en, ed = table.delta.numerator, table.delta.denominator
-    collected: list[tuple[int, Keyed]] = []  # (length, keyed tuple)
+    xn, xd = x._numerator, x._denominator
+    en, ed = table.delta._numerator, table.delta._denominator
+    buckets: dict[int, list[Keyed]] = {}  # length -> keyed tuples of that length
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 0  # +infinity until the first threshold
 
@@ -381,46 +432,56 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
     def lower_hi_by(tn, td, m):
         """Lower hi to t + c(x, m) for the member m below a chosen component."""
         if m is not None:
-            mn, md = m.numerator, m.denominator
+            mn, md = m._numerator, m._denominator
             cd = xd * mn
             lower_hi(tn * cd + (xn * (md + mn) - cd) * td, td * cd)
 
     y, below = _smallest_with_contribution_at_most(hier, x, floor, dn, dd)
     lower_hi_by(0, 1, below)  # (a)
-    prev_y = None
+    prev_n, prev_d = 0, 1  # the last visited component; none yet, and y > 0
     while True:
         # c(x, y) = x/y + x - 1 = cn/cd with cd > 0
-        yn, yd = y.numerator, y.denominator
+        yn, yd = y._numerator, y._denominator
         cd = xd * yn
         cn = xn * (yd + yn) - cd
         if cn <= 0:
             break
-        if prev_y is not None and yn * prev_y.denominator <= prev_y.numerator * yd:
+        if yn * prev_d <= prev_n * yd:
             raise ConsistencyError("component walk failed to advance")
         if cn * ed < en * cd:  # c < delta, so d - c > d - delta
             raise ConsistencyError("recursive budget must drop by at least delta")
         rn, rd = _reduced(dn * cd - cn * dd, dd * cd)
         iln, ild, ihn, ihd, inner = _minimal(hier, table, rn, rd)
-        yk = hier._key(y)
+        yk = key(y)
         if not inner:
-            collected.append((1, (yk,)))
+            buckets.setdefault(1, []).append((yk,))
+        n = 0  # inner is in length order: one bucket per run of a length
         for K in inner:
+            k = len(K)
+            if k != n:
+                n = k
+                append = buckets.setdefault(k + 1, []).append
             # y ahead of its equals, as sorted((y,) + T) would place it
             i = bisect_left(K, yk)
-            collected.append((len(K) + 1, K[:i] + (yk,) + K[i:]))
+            if i == 0:
+                append((yk,) + K)
+            elif i == k:
+                append(K + (yk,))
+            else:
+                append(K[:i] + (yk,) + K[i:])
         # the largest total through y: c(x, y) + lo(inner)
         tn, td = cn * ild + iln * cd, cd * ild
         if tn * lo_d > lo_n * td:
             lo_n, lo_d = tn, td
         lower_hi(cn * ihd + ihn * cd, cd * ihd)  # (b)
-        cls = hier.classify(y)
-        prev_y = y
-        if cls is Classification.MAXIMAL:
+        cls = classify(y)
+        prev_n, prev_d = yn, yd
+        if cls is MAXIMAL:
             break
-        if cls is Classification.SUCCESSOR:
-            y = hier.predecessor(y)
+        if cls is SUCCESSOR:
+            y = predecessor(y)
         else:
-            t = _next_total(hier, table, _stripped(inner), rn, rd)
+            t = _next_total(hier, table, inner, rn, rd)
             if t is None:
                 break
             tn, td = t
@@ -431,13 +492,7 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             y, below = _smallest_with_contribution_at_most(hier, x, floor, bn, bd)
             lower_hi_by(tn, td, below)  # (c)
 
-    # distinct tuples ordered by (length, components); equal tuples sort adjacent
-    collected.sort()
-    keyed = []
-    for _, K in collected:
-        if not keyed or K != keyed[-1]:
-            keyed.append(K)
-    return (*_reduced(lo_n, lo_d), *_reduced(hi_n, hi_d), tuple(keyed))
+    return (*_reduced(lo_n, lo_d), *_reduced(hi_n, hi_d), _ordered(buckets))
 
 
 def prune_dominated(tuples) -> tuple[Components, ...]:

@@ -38,20 +38,6 @@ def apply_rule(components: Sequence[ExactRational]) -> ExactRational:
     return ExactRational(s * den, (s - 1) * den + num)
 
 
-def reciprocal_sum(components: Sequence[ExactRational]) -> tuple[int, int]:
-    """sum(1/p_i) as an unreduced integer pair (num, den), den > 0.
-
-    Reads each Fraction's slots, not its numerator and denominator
-    properties, which cost a call each: classify and predecessor sum
-    every stored tuple of a successor's minimal set.
-    """
-    num, den = 0, 1
-    for p in components:
-        pn = p._numerator
-        num, den = num * pn + den * p._denominator, den * pn
-    return num, den
-
-
 def solve_weights(components: Sequence[ExactRational]) -> list[ExactRational]:
     """Per-component weights q_i = p/p_i + p - 1 for the pooled value p."""
     p = apply_rule(components)

@@ -134,7 +134,7 @@ def test_candidates_drain_to_every_variant(hier):
             if lower_of(p) is not None:
                 variants.append(rest + (lower_of(p),))
         expected.update(v for v in map(apply_rule, variants) if v > x)
-    drained = list(_candidates(tuples, x, lower_of))
+    drained = list(_candidates([tuple(map(hier._key, T)) for T in tuples], x, lower_of))
     assert drained == sorted(drained)
     assert Counter(drained) == expected
 
@@ -149,7 +149,7 @@ def test_lo_decides_membership(hier):
                 or x == hier.segment_of(x).r_lo):
             continue
         P = hier.xd_minimal(x, x)
-        generated = any(_generates(T, x) for T in P.tuples)
+        generated = any(_generates(tuple(map(hier._key, T)), x) for T in P.tuples)
         assert (P.lo == x) == generated
         assert (hier.classify(x) is not Classification.NOT_MEMBER) == generated
         seen[generated] += 1

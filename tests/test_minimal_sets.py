@@ -1,5 +1,6 @@
 """Minimal allowed-tuple sets and the smallest-advance query."""
 
+import json
 import random
 from bisect import bisect_left
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from pfinhier import (
+    Classification,
     Hierarchy,
     InputError,
     apply_rule,
@@ -15,10 +17,12 @@ from pfinhier import (
     find_smallest,
     prune_dominated,
 )
-from pfinhier import minimal_sets
-from pfinhier.minimal_sets import _budget_table, _stripped, xd_minimal
+from pfinhier import minimal_sets, parse_rational
+from pfinhier.minimal_sets import _budget_table, _ordered, _stripped, _xx_entry, xd_minimal
 
+from freeze_golden import GOLDEN
 from oracles import base_members, dominated_by_some, sample_allowed_tuples
+from test_hierarchy import LOW_GRID
 
 CHAIN = [F(12, 25), F(8, 17), F(20, 43), F(6, 13)]
 
@@ -224,7 +228,7 @@ def test_keyed_tuples_order_exactly_on_float_ties():
     assert key(F(2, 6)) is key(third)
     pool = [below, third, above, F(1, 2), F(2, 3)]
     rng = random.Random(20261018)
-    collected = []
+    buckets = {}
     for _ in range(400):
         T = tuple(sorted(rng.choice(pool) for _ in range(rng.randint(0, 4))))
         y = rng.choice(pool)
@@ -233,16 +237,12 @@ def test_keyed_tuples_order_exactly_on_float_ties():
         i = bisect_left(K, yk)
         inserted = K[:i] + (yk,) + K[i:]
         assert _stripped((inserted,))[0] == tuple(sorted(T + (y,)))
-        collected.append((len(inserted), inserted))
-    # the walk's ordering: a plain sort of (length, keyed) pairs, then
-    # dropping adjacent repeats
-    collected.sort()
-    keyed = []
-    for _, K in collected:
-        if not keyed or K != keyed[-1]:
-            keyed.append(K)
-    members = {T for T in _stripped(tuple(K for _, K in collected))}
-    assert _stripped(tuple(keyed)) == tuple(sorted(members, key=lambda T: (len(T), T)))
+        buckets.setdefault(len(inserted), []).append(inserted)
+    members = {T for bucket in buckets.values() for T in _stripped(tuple(bucket))}
+    # the walk's ordering: a plain sort of each length's bucket, dropping
+    # adjacent repeats, shortest bucket first
+    keyed = _ordered(buckets)
+    assert _stripped(keyed) == tuple(sorted(members, key=lambda T: (len(T), T)))
 
 
 def test_budget_table_entries_hold_exact_keys(monkeypatch):
@@ -268,3 +268,45 @@ def test_budget_table_entries_hold_exact_keys(monkeypatch):
                 assert k[0] == m.numerator / m.denominator and k is h._key(m)
         canonical = [(len(T), T) for T in _stripped(keyed)]
         assert all(a < b for a, b in zip(canonical, canonical[1:])), keyed
+
+
+def test_xx_entry_matches_public_sets(hier):
+    # the stored (x, x) entry that classify, predecessor and limit_sequence
+    # read is, stripped, the public xd_minimal(x, x): on a fresh Hierarchy,
+    # where the entry is walked first, and on the warm shared one
+    corpus = json.loads(GOLDEN.read_text())
+    golden = {parse_rational(x) for x in [*corpus["predecessor"], *corpus["ladder_predecessor"]]}
+    golden.update(parse_rational(entry["x"]) for entry in corpus["xd_minimal"])
+    points = sorted(golden.union(LOW_GRID))
+    assert len(points) == 306
+    for x in points:
+        expected = hier.xd_minimal(x, x)
+        for h in (Hierarchy(floor_level=4), hier):
+            lo_n, lo_d, hi_n, hi_d, keyed = _xx_entry(h, x, h.governing_floor(x))
+            P = h.xd_minimal(x, x)
+            assert (_stripped(keyed), F(lo_n, lo_d), F(hi_n, hi_d)) == (P.tuples, P.lo, P.hi), x
+            assert (P.tuples, P.lo, P.hi) == (expected.tuples, expected.lo, expected.hi), x
+
+
+def test_cold_classify_builds_no_minimal_set(monkeypatch):
+    # classify and predecessor read the stored entries: no public set is
+    # built and no keyed tuple is stripped on the way
+    built, stripped = [], []
+    real_init, real_stripped = minimal_sets.MinimalSet.__init__, minimal_sets._stripped
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["x"])
+        real_init(self, *args, **kwargs)
+
+    def counted_stripped(keyed):
+        stripped.append(keyed)
+        return real_stripped(keyed)
+
+    monkeypatch.setattr(minimal_sets.MinimalSet, "__init__", counted_init)
+    monkeypatch.setattr(minimal_sets, "_stripped", counted_stripped)
+    h = Hierarchy(floor_level=4)
+    assert h.classify(F(7, 17)) is Classification.LIMIT
+    assert built == [] and stripped == []
+    # the counters see the public path
+    h.xd_minimal(F(7, 17), F(7, 17))
+    assert built == [F(7, 17)] and len(stripped) == 1
