@@ -273,7 +273,8 @@ def test_budget_table_entries_hold_exact_keys(monkeypatch):
 def test_xx_entry_matches_public_sets(hier):
     # the stored (x, x) entry that classify, predecessor and limit_sequence
     # read is, stripped, the public xd_minimal(x, x): on a fresh Hierarchy,
-    # where the entry is walked first, and on the warm shared one
+    # read through the accessor before the public set, and on the warm
+    # shared one
     corpus = json.loads(GOLDEN.read_text())
     golden = {parse_rational(x) for x in [*corpus["predecessor"], *corpus["ladder_predecessor"]]}
     golden.update(parse_rational(entry["x"]) for entry in corpus["xd_minimal"])
