@@ -18,10 +18,10 @@ strictly decreasing sequences.
 
 All queries live on a Hierarchy object, which memoizes classifications,
 segments, governing floors, predecessors, limit sequences, brackets and
-neighbors per instance. It also owns the minimal-set tables, one per
-(x, floor), each set stored once for the whole interval of budgets that
-yields it. A memoized limit sequence keeps every term it has computed,
-for all later callers.
+neighbors per instance. It also owns the minimal-set tables, one per x
+over the governing floor of x, each set stored once for the whole
+interval of budgets that yields it. A memoized limit sequence keeps
+every term it has computed, for all later callers.
 
 Each Hierarchy also keeps one sort key per member value: predecessors,
 brackets, neighbors and limit-sequence terms pass through its intern
@@ -256,7 +256,7 @@ class Hierarchy:
         seg = self.segment_of(x)
         if x == seg.r_lo:
             return Classification.LIMIT
-        lo_n, lo_d, _, _, keyed = minimal_sets._xx_entry(self, x, self.governing_floor(x))
+        lo_n, lo_d, _, _, keyed = minimal_sets._xx_entry(self, x)
         # lo is the largest total among the stored tuples, and a generator
         # is a stored tuple whose total is x; both ends are reduced
         if lo_n != n or lo_d != den:
@@ -301,7 +301,9 @@ class Hierarchy:
         return self.segment_of(x).r_hi
 
     def xd_minimal(self, x: ExactRational, d: ExactRational) -> minimal_sets.MinimalSet:
-        return minimal_sets.xd_minimal(self, x, d, self.governing_floor(x))
+        """The (x, d)-minimal set over the governing floor of x; x is refused before d."""
+        self._check(x)
+        return minimal_sets._build_set(self, x, d)
 
     # ---- predecessor ----
 
@@ -367,7 +369,7 @@ class Hierarchy:
         def lower_of(p):
             return self.predecessor(p) if self.classify(p) is Classification.SUCCESSOR else None
 
-        keyed = minimal_sets._xx_entry(self, x, self.governing_floor(x))[4]
+        keyed = minimal_sets._xx_entry(self, x)[4]
         for value in _candidates(keyed, x, lower_of):
             if self.classify(value) is not Classification.NOT_MEMBER:
                 return self._member(value)
@@ -396,7 +398,7 @@ class Hierarchy:
             p = h_inverse(seg.anchor_low)
             upper = self.limit_sequence(seg.r_hi)
             return self._substituted_sequence((p, p), 1, upper, seg.r_hi)
-        for K in minimal_sets._xx_entry(self, x, self.governing_floor(x))[4]:
+        for K in minimal_sets._xx_entry(self, x)[4]:
             if not _generates(K, x):
                 continue
             T = tuple(c for _, c in K)

@@ -1,22 +1,22 @@
-"""Per-instance memoization for the kernel's query procedures."""
+"""Per-instance memoization for the kernel's one-argument query procedures."""
 
 from functools import wraps
 
 
 def memoized(guard):
-    """Cache fn(owner, *args) on owner, keyed by its exact-rational args.
+    """Cache fn(owner, arg) on owner, keyed by its exact-rational arg.
 
-    A rational is keyed by its integer (numerator, denominator) pair, and
-    a procedure of several rationals by the tuple of their pairs: hashing
-    a Fraction itself runs a modular inverse on every call, while a pair
-    of ints hashes cheaply. Fractions are kept in lowest terms, so equal
-    values give equal pairs.
+    Every decorated procedure takes one rational, so there is one lookup:
+    the rational is keyed by its integer (numerator, denominator) pair.
+    Hashing a Fraction itself runs a modular inverse on every call, while
+    a pair of ints hashes cheaply. Fractions are kept in lowest terms, so
+    equal values give equal pairs.
 
-    guard(owner, *args) runs on every call, before the key is built, and
-    raises on input the procedure refuses. The order matters: every
-    argument must be an exact rational by the time its pair is read, and
-    0.5 and True, which equal Fraction(1, 2) and Fraction(1), must never
-    be answered from a warm cache.
+    guard(owner, arg) runs on every call, before the key is built, and
+    raises on input the procedure refuses. The order matters: the argument
+    must be an exact rational by the time its pair is read, and 0.5 and
+    True, which equal Fraction(1, 2) and Fraction(1), must never be
+    answered from a warm cache.
 
     Each owner holds one dict per decorated procedure, created on its
     first miss, so answers never cross owners: two hierarchies with
@@ -26,29 +26,18 @@ def memoized(guard):
     def decorate(fn):
         slot = "_memo_" + fn.__qualname__
 
-        if fn.__code__.co_argcount == 2:
-            def lookup(owner, arg):
-                guard(owner, arg)
-                key = arg._numerator, arg._denominator
-                try:
-                    return getattr(owner, slot)[key]
-                except (AttributeError, KeyError):
-                    pass
-                result = fn(owner, arg)
-                vars(owner).setdefault(slot, {})[key] = result
-                return result
-        else:
-            def lookup(owner, *args):
-                guard(owner, *args)
-                key = tuple([(a._numerator, a._denominator) for a in args])
-                try:
-                    return getattr(owner, slot)[key]
-                except (AttributeError, KeyError):
-                    pass
-                result = fn(owner, *args)
-                vars(owner).setdefault(slot, {})[key] = result
-                return result
+        @wraps(fn)
+        def lookup(owner, arg):
+            guard(owner, arg)
+            key = arg._numerator, arg._denominator
+            try:
+                return getattr(owner, slot)[key]
+            except (AttributeError, KeyError):
+                pass
+            result = fn(owner, arg)
+            vars(owner).setdefault(slot, {})[key] = result
+            return result
 
-        return wraps(fn)(lookup)
+        return lookup
 
     return decorate

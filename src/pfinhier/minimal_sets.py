@@ -6,21 +6,24 @@ positive and sum to at most d. The minimal-set builder returns a finite
 set of allowed tuples such that every allowed tuple is dominated from
 below, coordinatewise, by a stored tuple of the same length; this is the
 finite search space behind membership classification and predecessors.
+The floor is always the governing floor of x, so Hierarchy.xd_minimal(x, d)
+is the one public way to a set.
 
-The walk behind xd_minimal visits candidate smallest components upward
-and recurses on the remaining budget; at a limit component it asks
+The walk behind it visits candidate smallest components upward and
+recurses on the remaining budget; at a limit component it asks
 find_smallest for the least total above the inner budget among one-step
 changes of the inner set's tuples, and jumps past it.
 
 Functions take the hierarchy handle explicitly; it must provide classify,
-predecessor, bracket, next_below and _key. Each handle keeps one budget
-table per (x, floor): the pair (p0', delta) that every budget of that x
+predecessor, bracket, next_below, governing_floor and _key. Each handle
+keeps one budget table per x, whose floor is fixed when the table is
+built: the floor and the pair (p0', delta) that every budget of that x
 shares, and the sets found so far, each stored once for the whole
-interval [lo, hi) of budgets that yields it (see xd_minimal).
+interval [lo, hi) of budgets that yields it (see _build_set).
 
 The arithmetic is exact and integer-based: the walk keeps budgets,
 contributions and interval ends as integer numerator/denominator pairs
-and compares by cross-multiplication. Only the public xd_minimal and
+and compares by cross-multiplication. Only the builder of public sets and
 find_smallest build Fractions, for their answers. Budgets below delta
 admit no tuple and return the empty set before any table lookup.
 
@@ -32,8 +35,8 @@ in one bucket per length, and orders a set by sorting each bucket with
 a plain sort, which compares floats and falls back to the exact members
 only when two floats tie, then dropping adjacent repeats (_ordered).
 
-Only the public xd_minimal strips the keys, once per call. Everything
-inside the kernel reads keyed tuples: the walk hands its inner sets to
+Only public sets strip the keys, once per call. Everything inside the
+kernel reads keyed tuples: the walk hands its inner sets to
 find_smallest's integer step as they are stored, and classify,
 predecessor and limit_sequence read the stored (x, x) entry through
 _xx_entry, so they neither build a MinimalSet nor strip a tuple.
@@ -47,7 +50,7 @@ from operator import itemgetter
 
 from .errors import ConsistencyError, InputError
 from .memo import memoized
-from .rationals import ExactRational, ONE, ascending_key
+from .rationals import ExactRational, ONE
 from .rules import contribution
 
 Components = tuple[ExactRational, ...]
@@ -149,7 +152,7 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
 
 
 class _BudgetTable:
-    """What every budget of one (x, floor) shares, and the sets found so far.
+    """What every budget of one x shares, and the sets found so far.
 
     entries ascend by lo and hold (lo_n, lo_d, hi_n, hi_d, keyed): the
     set for every budget in [lo, hi), both ends as reduced integer pairs.
@@ -211,11 +214,12 @@ class _BudgetTable:
         self.lows.insert(i + 1, lo_n / lo_d)
 
 
-@memoized(lambda hier, x, floor: None)  # called by xd_minimal after its guard
-def _budget_table(hier, x: ExactRational, floor: ExactRational) -> _BudgetTable:
-    """The table of (x, floor), with (p0', delta): the largest member of
-    [floor, 1] with strictly positive contribution, and that contribution,
-    the least any component adds."""
+@memoized(lambda hier, x: None)  # its callers have guarded x
+def _budget_table(hier, x: ExactRational) -> _BudgetTable:
+    """The table of x over [floor, 1], floor its governing floor, with
+    (p0', delta): the largest member of [floor, 1] with strictly positive
+    contribution, and that contribution, the least any component adds."""
+    floor = hier.governing_floor(x)
     xn, xd = x.numerator, x.denominator
     if 2 * xn > xd:  # x == 1 or x/(1-x) > 1
         p0p = ONE
@@ -265,8 +269,8 @@ def find_smallest(hier, P: MinimalSet, x: ExactRational, d: ExactRational):
     d = 1/12, P holds the one tuple (2/3, 2/3), and this returns 1/8,
     while the singleton (3/5) reaches 1/9.
     """
-    table = _budget_table(hier, x, P.floor)
-    keyed = tuple(tuple(map(ascending_key, T)) for T in P.tuples)
+    table = _budget_table(hier, x)
+    keyed = tuple(tuple(map(hier._key, T)) for T in P.tuples)
     t = _next_total(hier, table, keyed, d.numerator, d.denominator)
     return None if t is None else ExactRational(*t)
 
@@ -306,22 +310,9 @@ def _next_total(hier, table: _BudgetTable, keyed: tuple[Keyed, ...], rn: int, rd
     return _reduced(best_n, best_d)
 
 
-def _check_budget(x, d, floor) -> None:
-    if not (
-        isinstance(x, ExactRational) and isinstance(d, ExactRational)
-        and isinstance(floor, ExactRational)
-    ):
-        raise InputError(
-            "expected exact rationals, got "
-            f"{type(x).__name__}, {type(d).__name__} and {type(floor).__name__}"
-        )
-    dn = d.numerator
-    if dn < 0 or dn * x.denominator > x.numerator * d.denominator:
-        raise InputError(f"budget d must lie in [0, x]: d={d}, x={x}")
-
-
-def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -> MinimalSet:
-    """Compute an (x, d)-minimal set over components in [floor, 1].
+def _build_set(hier, x: ExactRational, d: ExactRational) -> MinimalSet:
+    """The (x, d)-minimal set over components in [floor, 1], floor the
+    governing floor of x, for an x that passed Hierarchy.xd_minimal's guard.
 
     The walk visits candidate smallest components y in increasing member
     order; each visit recurses on the leftover budget d - c(x, y) and
@@ -369,31 +360,35 @@ def xd_minimal(hier, x: ExactRational, d: ExactRational, floor: ExactRational) -
        achievable total above lo.
 
     So the set stored for d answers exactly the budgets in [lo, hi).
-    The table of (x, floor) keeps one entry [lo, hi) per set, and the
+    The table of x keeps one entry [lo, hi) per set, and the
     entries are disjoint. A budget inside one is answered without walking;
     any other is walked once, and its entry is inserted. lo and hi are
     summed during the walk, in integers: lo as max over y of
     c(x, y) + lo(inner), hi as the minimum above. Inner budgets recurse
     on integer pairs, past this function's guard.
     """
-    _check_budget(x, d, floor)
-    table = _budget_table(hier, x, floor)
-    lo_n, lo_d, hi_n, hi_d, keyed = _minimal(hier, table, d.numerator, d.denominator)
+    if not isinstance(d, ExactRational):
+        raise InputError(f"expected an exact rational budget, got {type(d).__name__}")
+    dn, dd = d.numerator, d.denominator
+    if dn < 0 or dn * x.denominator > x.numerator * dd:
+        raise InputError(f"budget d must lie in [0, x]: d={d}, x={x}")
+    table = _budget_table(hier, x)
+    lo_n, lo_d, hi_n, hi_d, keyed = _minimal(hier, table, dn, dd)
     return MinimalSet(
-        x=x, d=d, floor=floor, delta=table.delta, p0_prime=table.p0_prime,
+        x=x, d=d, floor=table.floor, delta=table.delta, p0_prime=table.p0_prime,
         tuples=_stripped(keyed),
         lo=ExactRational(lo_n, lo_d), hi=ExactRational(hi_n, hi_d),
     )
 
 
-def _xx_entry(hier, x: ExactRational, floor: ExactRational):
-    """The table entry (lo_n, lo_d, hi_n, hi_d, keyed) answering xd_minimal(x, x)
-    over [floor, 1], for an x that already passed its caller's guard.
+def _xx_entry(hier, x: ExactRational):
+    """The table entry (lo_n, lo_d, hi_n, hi_d, keyed) answering
+    xd_minimal(x, x), for an x that already passed its caller's guard.
 
     classify, predecessor and limit_sequence read the stored entry here,
     so they neither build a MinimalSet nor strip its keys.
     """
-    return _minimal(hier, _budget_table(hier, x, floor), x._numerator, x._denominator)
+    return _minimal(hier, _budget_table(hier, x), x._numerator, x._denominator)
 
 
 def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
@@ -482,8 +477,9 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             y = predecessor(y)
         else:
             t = _next_total(hier, table, inner, rn, rd)
+            # p0' after inner's largest-total tuple sums to lo(inner) + delta >= hi(inner) > r
             if t is None:
-                break
+                raise ConsistencyError(f"no one-step total above the inner budget {rn}/{rd}")
             tn, td = t
             bn, bd = dn * td - tn * dd, dd * td  # d - t
             if bn * ed < en * bd:  # no member fits beside t

@@ -37,6 +37,11 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "1/6")
     assert code == 3 and "floor" in err
     assert run(capsys, "--floor", "5", "classify", "1/6") == (0, "LIM\n", "")
+    # xdmin refuses x before its budget: under the floor outranks d > x
+    code, out, err = run(capsys, "xdmin", "1/100", "1/2")
+    assert (code, out) == (3, "") and "floor" in err
+    code, out, err = run(capsys, "xdmin", "1/2", "3/4")
+    assert (code, out) == (2, "") and "budget" in err
     # a floor below 1 is an argument error, also on verbs that query no
     # hierarchy
     tree_file = tmp_path / "t.tree"

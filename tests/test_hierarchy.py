@@ -176,6 +176,11 @@ def test_predecessor_domain(hier):
         hier.predecessor(F(1, 2))
     with pytest.raises(DomainError):
         hier.predecessor(F(9, 10))
+    # segments exist below 1/2 only, and images of members bound them
+    with pytest.raises(DomainError):
+        hier.segment_of(F(3, 5))
+    with pytest.raises(DomainError):
+        hier.segment_of(F(1, 3))
 
 
 def test_limit_sequences_frozen(hier):
@@ -270,6 +275,8 @@ def test_enumerate_interval(hier):
     assert hier.enumerate_interval(F(3, 5), F(1), 0) == []
     with pytest.raises(InputError):
         hier.enumerate_interval(F(2, 3), F(1, 2), 5)
+    with pytest.raises(InputError):
+        hier.enumerate_interval(F(1, 2), F(1), -1)
 
 
 def test_decide_equivalence(hier):

@@ -18,7 +18,7 @@ from pfinhier import (
     prune_dominated,
 )
 from pfinhier import minimal_sets, parse_rational
-from pfinhier.minimal_sets import _budget_table, _ordered, _stripped, _xx_entry, xd_minimal
+from pfinhier.minimal_sets import _budget_table, _ordered, _stripped, _xx_entry
 
 from freeze_golden import GOLDEN
 from oracles import base_members, dominated_by_some, sample_allowed_tuples
@@ -28,7 +28,7 @@ CHAIN = [F(12, 25), F(8, 17), F(20, 43), F(6, 13)]
 
 
 def P(hier, x, d):
-    return xd_minimal(hier, x, d, hier.governing_floor(x))
+    return hier.xd_minimal(x, d)
 
 
 def test_full_budget_sets(hier):
@@ -69,9 +69,6 @@ def test_budget_guard(hier):
         hier.xd_minimal(F(1, 2), 0.5)
     with pytest.raises(InputError):
         hier.xd_minimal(F(1, 2), False)
-    # the floor is part of the table key, so it is checked too
-    with pytest.raises(InputError):
-        xd_minimal(hier, F(1, 2), F(1, 2), 0.5)
 
 
 def test_find_smallest_advances(hier):
@@ -171,7 +168,7 @@ def test_interval_reuse_matches_fresh_walks(x):
     # Every stored interval [lo, hi) answers its lo, its midpoint and a
     # budget just under hi as a fresh walk does, and a fresh walk at hi
     # stores a tuple totalling hi, so hi is achievable.
-    entries = _budget_table(warm, x, warm.governing_floor(x)).entries
+    entries = _budget_table(warm, x).entries
     assert entries
     for lo_n, lo_d, hi_n, hi_d, keyed in entries:
         lo, hi = F(lo_n, lo_d), F(hi_n, hi_d)
@@ -206,16 +203,17 @@ def test_one_walk_per_interval(monkeypatch):
 def test_budget_tables_stay_per_floor():
     x = F(12, 25)
     h = Hierarchy(floor_level=4)
-    governed = xd_minimal(h, x, x, F(1, 2))
-    # a lower floor admits the identity singleton the governing floor excludes
-    lower = xd_minimal(h, x, x, x)
-    assert (x,) not in governed and (x,) in lower
-    assert _budget_table(h, x, F(1, 2)) is not _budget_table(h, x, x)
-    assert xd_minimal(h, x, x, F(1, 2)).tuples == governed.tuples
+    governed = P(h, x, x)
+    # the governing floor 1/2 excludes the identity singleton
+    assert governed.floor == F(1, 2) and (x,) not in governed
+    # at an image point the governing floor is the point itself
+    image = P(h, F(1, 3), F(1, 20))
+    assert image.floor == F(1, 3)
+    assert image.tuples == ((F(20, 43),), (F(8, 17),), (F(12, 25),))
     # hierarchies with different floor levels keep their own tables
     other = Hierarchy(floor_level=2)
     assert P(other, x, x).tuples == governed.tuples
-    assert _budget_table(other, x, F(1, 2)) is not _budget_table(h, x, F(1, 2))
+    assert _budget_table(other, x) is not _budget_table(h, x)
 
 
 def test_keyed_tuples_order_exactly_on_float_ties():
@@ -283,7 +281,7 @@ def test_xx_entry_matches_public_sets(hier):
     for x in points:
         expected = hier.xd_minimal(x, x)
         for h in (Hierarchy(floor_level=4), hier):
-            lo_n, lo_d, hi_n, hi_d, keyed = _xx_entry(h, x, h.governing_floor(x))
+            lo_n, lo_d, hi_n, hi_d, keyed = _xx_entry(h, x)
             P = h.xd_minimal(x, x)
             assert (_stripped(keyed), F(lo_n, lo_d), F(hi_n, hi_d)) == (P.tuples, P.lo, P.hi), x
             assert (P.tuples, P.lo, P.hi) == (expected.tuples, expected.lo, expected.hi), x

@@ -51,3 +51,8 @@ def test_bool_is_not_a_rational():
         with pytest.raises(InputError):
             parse_rational(bad)
     assert parse_rational(1) == Fraction(1)
+    # a Fraction passes through unchanged; a float is refused
+    third = Fraction(1, 3)
+    assert parse_rational(third) is third
+    with pytest.raises(InputError):
+        parse_rational(1.5)

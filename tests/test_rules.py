@@ -18,7 +18,6 @@ from pfinhier import (
     is_valid_application,
     solve_weights,
 )
-from pfinhier.minimal_sets import xd_minimal
 
 from oracles import apply_rule_reference, contribution_reference
 
@@ -49,6 +48,11 @@ def test_apply_rule_rejects_empty_and_out_of_range():
         apply_rule((F(1), 0.5))
     with pytest.raises(InputError):
         contribution(0.5, F(2, 3))
+    # the level shifts refuse arguments outside their domains
+    with pytest.raises(InputError):
+        h_map(F(0))
+    with pytest.raises(InputError):
+        h_inverse(F(3, 5))
 
 
 def test_weights_worked_example():
@@ -59,6 +63,8 @@ def test_weights_worked_example():
     assert is_valid_application((F(3, 5), F(2, 3)))
     # a unit component under a sub-1/2 value takes negative weight
     assert not is_valid_application((F(1), F(2, 3), F(3, 5)))
+    # a zero component has no weights at all
+    assert not is_valid_application([0])
 
 
 @given(tuples)
@@ -108,11 +114,11 @@ def test_contribution_matches_fraction_formula(x, p):
        st.fractions(min_value=0, max_value=1))
 def test_budget_below_delta_is_empty(hier, x, share):
     floor = hier.governing_floor(x)
-    full = xd_minimal(hier, x, x, floor)
+    full = hier.xd_minimal(x, x)
     d = full.delta * share
     if d == full.delta:
         return
-    P = xd_minimal(hier, x, d, floor)
+    P = hier.xd_minimal(x, d)
     assert P.tuples == ()
     assert P.d == d and P.x == x and P.floor == floor
     assert (P.delta, P.p0_prime) == (full.delta, full.p0_prime)
