@@ -7,8 +7,10 @@ search's heap compare floats first, and values whose floats tie are
 compared exactly. Integer true division rounds correctly, so a < b
 implies float(a) <= float(b), and a float comparison never reverses an
 exact one. The scalar type is the stdlib Fraction, re-exported under a
-kernel-local alias so call sites stay uniform and the representation
-could be swapped without touching them.
+kernel-local alias so call sites stay uniform. It is not a seam for
+another representation: the guards, the memo keys, the minimal-set walk
+and the predecessor search read Fraction's _numerator and _denominator
+slots directly.
 """
 
 from fractions import Fraction

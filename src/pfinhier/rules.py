@@ -8,10 +8,11 @@ the optimal odds-weighted pooling rule, into a single success probability
 The induced per-component weights q_i = p/p_i + p - 1 always sum to p; the
 application is admissible only when every weight lies in [0, 1].
 
-The two hot closed forms, apply_rule and contribution, work on integer
-numerators and denominators and build a single Fraction at the end, so
-their answers stay exact while skipping the per-operation normalization
-and type dispatch of Fraction arithmetic.
+apply_rule and contribution work on integer numerators and denominators
+and build a single Fraction at the end, so their answers stay exact
+while skipping the per-operation normalization and type dispatch of
+Fraction arithmetic. Neither is on the kernel's hot path: the minimal-set
+walk and the predecessor search sum in integers themselves.
 """
 
 from collections.abc import Sequence
