@@ -235,12 +235,14 @@ def _budget_table(hier, x: ExactRational) -> _BudgetTable:
     return _BudgetTable(x, floor, p0p, delta)
 
 
-def _smallest_with_contribution_at_most(hier, x, floor, bn: int, bd: int):
+def _smallest_with_contribution_at_most(hier, table: _BudgetTable, bn: int, bd: int):
     """Smallest member y >= floor with x/y + x - 1 <= bn/bd, and the member
-    just below y, or None when that one lies under the floor.
+    just below y, or None when that one lies under the floor; x and floor
+    are the table's.
 
     The walk asks only for bounds of at least delta, which p0' meets.
     """
+    x, floor = table.x, table.floor
     xn, xd = x._numerator, x._denominator
     # bound + 1 - x = a / (bd*xd), so the threshold x/(bound + 1 - x) is xn*bd / a
     a = (bn + bd) * xd - xn * bd
@@ -412,7 +414,7 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
 
     classify, predecessor, key = hier.classify, hier.predecessor, hier._key
     MAXIMAL, SUCCESSOR = Classification.MAXIMAL, Classification.SUCCESSOR
-    x, floor = table.x, table.floor
+    x = table.x
     xn, xd = x._numerator, x._denominator
     en, ed = table.delta._numerator, table.delta._denominator
     buckets: dict[int, list[Keyed]] = {}  # length -> keyed tuples of that length
@@ -431,7 +433,7 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             cd = xd * mn
             lower_hi(tn * cd + (xn * (md + mn) - cd) * td, td * cd)
 
-    y, below = _smallest_with_contribution_at_most(hier, x, floor, dn, dd)
+    y, below = _smallest_with_contribution_at_most(hier, table, dn, dd)
     lower_hi_by(0, 1, below)  # (a)
     prev_n, prev_d = 0, 1  # the last visited component; none yet, and y > 0
     while True:
@@ -485,7 +487,7 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             if bn * ed < en * bd:  # no member fits beside t
                 lower_hi(tn * ed + en * td, td * ed)  # (c)
                 break
-            y, below = _smallest_with_contribution_at_most(hier, x, floor, bn, bd)
+            y, below = _smallest_with_contribution_at_most(hier, table, bn, bd)
             lower_hi_by(tn, td, below)  # (c)
 
     return (*_reduced(lo_n, lo_d), *_reduced(hi_n, hi_d), _ordered(buckets))
