@@ -479,7 +479,7 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             y = predecessor(y)
         else:
             t = _next_total(hier, table, inner, rn, rd)
-            # p0' after inner's largest-total tuple sums to lo(inner) + delta >= hi(inner) > r
+            # unreachable: p0' after inner's largest-total tuple gives lo(inner) + delta >= hi(inner) > r
             if t is None:
                 raise ConsistencyError(f"no one-step total above the inner budget {rn}/{rd}")
             tn, td = t
