@@ -153,10 +153,10 @@ def _candidates(keyed, x: ExactRational, lower_of):
     A lazy best-first search. Heap entries are (float, counter, num, den,
     T, j, sn, sd): the value num/den and its float, a counter that settles
     equal floats before any tuple is compared, and what the entry spawns
-    when popped. j == len(T) marks T's own value, which spawns T's swaps;
-    j < len(T) marks T without T[j], which spawns T without T[j - 1];
-    T is None marks a swap, which spawns nothing. sn/sd is T's reciprocal
-    sum, taken once per tuple in integers.
+    when popped. j == len(T) marks T's own value, which spawns T's swaps
+    and T without T[-1]; j < len(T) marks T without T[j], which spawns T
+    without T[j - 1]; T is None marks a swap, which spawns nothing. sn/sd
+    is T's reciprocal sum, taken once per tuple in integers.
     """
     xn, xd = x._numerator, x._denominator
     counter = count()
@@ -165,19 +165,9 @@ def _candidates(keyed, x: ExactRational, lower_of):
         k = len(T)
         sn, sd = reciprocal_sum(T)
         num, den = k * sd, (k - 1) * sd + sn
-        side = num * xd - xn * den
-        if side > 0:
-            heap.append((num / den, next(counter), num, den, T, k, sn, sd))
-        elif side == 0:  # T generates x
-            for num, den in _swaps(T, sn, sd, lower_of):
-                heap.append((num / den, next(counter), num, den, None, 0, 0, 0))
-        else:
+        if num * xd < xn * den:
             raise ConsistencyError(f"a stored tuple of {x} pools below it")
-        if k > 1:
-            num, den = _drop(T, k - 1, sn, sd)
-            if num * xd <= xn * den:
-                raise ConsistencyError(f"a stored tuple of {x} less a component pools to at most {x}")
-            heap.append((num / den, next(counter), num, den, T, k - 1, sn, sd))
+        heap.append((num / den, next(counter), num, den, T, k, sn, sd))
     heapify(heap)
     while heap:
         # equal floats may hide distinct values: gather the whole run,
@@ -186,14 +176,18 @@ def _candidates(keyed, x: ExactRational, lower_of):
         tied = []
         while heap and heap[0][0] == f:
             _, _, num, den, T, j, sn, sd = heappop(heap)
-            tied.append(ExactRational(num, den))
+            if num * xd > xn * den:
+                tied.append(ExactRational(num, den))
             if T is None:
                 continue
-            if j == len(T):
+            k = len(T)
+            if j == k:
                 for num, den in _swaps(T, sn, sd, lower_of):
                     heappush(heap, (num / den, next(counter), num, den, None, 0, 0, 0))
-            elif j:
+            if j and k > 1:
                 num, den = _drop(T, j - 1, sn, sd)
+                if num * xd <= xn * den:
+                    raise ConsistencyError(f"a stored tuple of {x} less a component pools to at most {x}")
                 heappush(heap, (num / den, next(counter), num, den, T, j - 1, sn, sd))
         tied.sort()
         yield from tied
@@ -323,27 +317,34 @@ class Hierarchy:
         the stored tuples as they sit in the (x, x) budget-table entry
         (minimal_sets._xx_entry), as keyed tuples of (float, member)
         pairs, so no MinimalSet is built and no tuple is stripped. Each
-        stored T is ascending, and each of its components contributes
-        c(x, p) > 0 to a total of at most x, so:
+        stored T is ascending, with k components whose reciprocals sum to
+        S, so it pools to k/(k - 1 + S); each component contributes
+        c(x, p) = x/p + x - 1 > 0 to a total x*S - k*(1 - x) of at most x.
+        So:
 
         - T's own value is at least x, and equals x exactly when T
           generates x;
-        - every drop lies above x, since dropping a component takes the
-          total below x;
-        - every swap lies above T's own value, since predecessor(p) > p;
+        - every swap lies above T's own value: it raises a component,
+          since predecessor(p) > p, and the pooled value rises with each
+          component;
+        - every drop lies above T's own value: dropping p pools to
+          (k - 1)/(k - 2 + S - 1/p), which exceeds k/(k - 1 + S) exactly
+          when S < 1 + k/p, and the total gives S <= 1 + k/x - k while
+          c(x, p) > 0 gives 1/p > 1/x - 1;
         - drops ascend as the dropped index falls: without T[-1] is the
           least, without T[0] the greatest.
 
-        The heap starts with T's own value when it lies above x, the
-        drop chain's head (T without T[-1]) when T has two components or
-        more, and, when T generates x, T's swaps. Popping an own value
-        pushes its swaps; this is the only place a component outside a
-        generator is classified and lowered. Popping the drop of T[j]
-        pushes the drop of T[j - 1]. Invariant: every candidate not yet
-        built is at least the entry that will spawn it, and that entry
-        is in the heap; so the heap's least entry is the least candidate
-        not yet tried, and the candidates, duplicates included, leave in
-        the order of sorting all of them at once.
+        So the heap starts with one entry per stored T, its own value
+        (x itself for a generator), and builds no variant before a pop.
+        Popping an own value pushes T's swaps and the head of its drop
+        chain (T without T[-1]), when T has two components or more; this
+        is the only place a component is classified and lowered. Popping
+        the drop of T[j] pushes the drop of T[j - 1]. Only values above x
+        are yielded. Invariant: every candidate not yet built is at least
+        the entry that will spawn it, and that entry is in the heap; so
+        the heap's least entry is the least candidate not yet tried, and
+        the candidates, duplicates included, leave in the order of
+        sorting all of them at once.
 
         Each value follows in O(1) from T's reciprocal sum, taken once
         in integers over its keys, and entries are keyed on their floats.

@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 from fractions import Fraction as F
+from heapq import heapify
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from pfinhier import (
     h_inverse,
     parse_rational,
 )
+from pfinhier import hierarchy
 from pfinhier.hierarchy import _candidates, _generates
 
 from freeze_golden import GOLDEN
@@ -137,6 +139,53 @@ def test_candidates_drain_to_every_variant(hier):
     drained = list(_candidates([tuple(map(hier._key, T)) for T in tuples], x, lower_of))
     assert drained == sorted(drained)
     assert Counter(drained) == expected
+
+
+def test_candidates_seed_each_tuple_by_its_own_value(hier, monkeypatch):
+    # before its first pop the search holds one entry per stored tuple, its
+    # own value (x itself for a generator), and has built no swap or drop
+    built = []
+    for name in ("_drop", "_swaps"):
+        real = getattr(hierarchy, name)
+        monkeypatch.setattr(hierarchy, name,
+                            lambda *args, real=real, name=name: built.append(name) or real(*args))
+    seeded = []
+
+    def recorded(heap):
+        seeded.append(([F(entry[2], entry[3]) for entry in heap], list(built)))
+        heapify(heap)
+
+    def lower_of(p):
+        built.append("lower_of")
+        return hier.predecessor(p) if hier.classify(p) is Classification.SUCCESSOR else None
+
+    for x in (F(12, 25), F(7, 17)):
+        tuples = hier.xd_minimal(x, x).tuples
+        seeded.clear()
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(hierarchy, "heapify", recorded)
+            first = next(_candidates([tuple(map(hier._key, T)) for T in tuples], x, lower_of))
+        assert seeded == [([apply_rule(T) for T in tuples], [])], x
+        assert first > x and built, x
+
+
+def test_every_variant_pools_above_its_tuple(hier):
+    # why one entry per tuple seeds the search: each drop and each swap of
+    # a stored tuple T pools strictly above T's own value
+    checked = Counter()
+    for x in [*LOW_GRID, F(7, 17)]:
+        for T in hier.xd_minimal(x, x).tuples:
+            own = apply_rule(T)
+            for j, p in enumerate(T):
+                rest = T[:j] + T[j + 1:]
+                if rest:
+                    assert apply_rule(rest) > own, (x, T, j)
+                    checked["drop"] += 1
+                if hier.classify(p) is Classification.SUCCESSOR:
+                    assert apply_rule(rest + (hier.predecessor(p),)) > own, (x, T, j)
+                    checked["swap"] += 1
+    assert checked["drop"] > 1000 and checked["swap"] > 1000, checked
 
 
 def test_lo_decides_membership(hier):
