@@ -258,22 +258,23 @@ def _smallest_with_contribution_at_most(hier, table: _BudgetTable, bn: int, bd: 
     return y, (below if below >= floor else None)
 
 
-def find_smallest(hier, P: MinimalSet, x: ExactRational, d: ExactRational):
-    """Least total above d among one-step changes of P's tuples.
+def find_smallest(hier, P: MinimalSet):
+    """Least total above P.d among one-step changes of P's tuples, priced
+    at P.x.
 
     Each tuple of P, and the empty tuple, offers two kinds of change:
     lower one coordinate to the next member below it (staying at or above
     the floor), or append the cheapest positive contributor p0'. Returns
-    the least total of these changes that exceeds d, or None when none
+    the least total of these changes that exceeds P.d, or None when none
     does. An empty P still offers its one-element extension at delta.
 
     This is not the least achievable total above d. At x = 5/12 and
     d = 1/12, P holds the one tuple (2/3, 2/3), and this returns 1/8,
     while the singleton (3/5) reaches 1/9.
     """
-    table = _budget_table(hier, x)
+    table = _budget_table(hier, P.x)
     keyed = tuple(tuple(map(hier._key, T)) for T in P.tuples)
-    t = _next_total(hier, table, keyed, d.numerator, d.denominator)
+    t = _next_total(hier, table, keyed, P.d.numerator, P.d.denominator)
     return None if t is None else ExactRational(*t)
 
 

@@ -18,7 +18,7 @@ from pfinhier import (
     prune_dominated,
 )
 from pfinhier import minimal_sets, parse_rational
-from pfinhier.minimal_sets import _budget_table, _ordered, _stripped, _xx_entry
+from pfinhier.minimal_sets import _BudgetTable, _budget_table, _ordered, _stripped, _xx_entry
 
 from freeze_golden import GOLDEN
 from oracles import base_members, dominated_by_some, sample_allowed_tuples
@@ -72,10 +72,11 @@ def test_budget_guard(hier):
 
 
 def test_find_smallest_advances(hier):
+    # x and d are the set's own: no call can price a set against another x
     x = F(12, 25)
-    assert find_smallest(hier, P(hier, x, F(1, 25)), x, F(1, 25)) == F(1, 5)
-    assert find_smallest(hier, P(hier, x, F(1, 5)), x, F(1, 5)) == F(7, 25)
-    assert find_smallest(hier, P(hier, x, F(7, 25)), x, F(7, 25)) == F(8, 25)
+    assert find_smallest(hier, P(hier, x, F(1, 25))) == F(1, 5)
+    assert find_smallest(hier, P(hier, x, F(1, 5))) == F(7, 25)
+    assert find_smallest(hier, P(hier, x, F(7, 25))) == F(8, 25)
 
 
 def test_exact_totals_witness_membership(hier):
@@ -241,6 +242,23 @@ def test_keyed_tuples_order_exactly_on_float_ties():
     # adjacent repeats, shortest bucket first
     keyed = _ordered(buckets)
     assert _stripped(keyed) == tuple(sorted(members, key=lambda T: (len(T), T)))
+
+
+def test_budget_table_steps_back_past_float_ties():
+    # two entries whose lo share one float: bisection lands on the later
+    # one, and the exact step-back finds each budget's own entry
+    third, beside = F(1, 3), F(1, 3) + F(1, 10**30)
+    assert float(third) == float(beside)
+    bn, bd = beside.numerator, beside.denominator
+    low = (1, 3, bn, bd, ((0.5, F(1, 2)),))
+    high = (bn, bd, 1, 2, ((2 / 3, F(2, 3)),))
+    table = _BudgetTable(F(1, 2), F(1, 2), F(1), F(1, 2))  # record and lookup read entries only
+    # the later entry first, so recording the earlier one steps back too
+    table.record(bn, bd, high)
+    table.record(1, 3, low)
+    assert table.entries == [low, high]
+    assert table.lookup(1, 3) is low
+    assert table.lookup(bn, bd) is high
 
 
 def test_budget_table_entries_hold_exact_keys(monkeypatch):
