@@ -45,15 +45,6 @@ class Ordinal:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_finite(self) -> bool:
-        return all(exp.is_zero for exp, _ in self.terms)
-
-    def as_int(self) -> int:
-        if not self.is_finite:
-            raise DomainError(f"not a finite ordinal: {self}")
-        return self.terms[0][1] if self.terms else 0
-
     def _compare(self, other: "Ordinal") -> int:
         """-1, 0 or 1 as self is below, equal to or above other.
 
