@@ -7,7 +7,11 @@ import sys
 
 import pytest
 
+from pfinhier import format_labeling, parse_tree, rational_labeling
 from pfinhier.cli import MAX_COUNT, main
+
+from test_ordinals import BAD_EXPRESSIONS
+from test_trees import BAD_LABELINGS
 
 SIX_ELEVEN = "(()(()()()))"
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -175,6 +179,25 @@ def test_tree_commands(capsys, tmp_path):
     code, out, _ = run(capsys, "validate-label", str(tree_file), str(label_file))
     assert code == 1 and out.startswith("INVALID:")
 
+    # a malformed labeling file is an argument error
+    for text, _ in BAD_LABELINGS:
+        label_file.write_text(text)
+        code, out, err = run(capsys, "validate-label", str(tree_file), str(label_file))
+        assert (code, out) == (2, "") and err.startswith("error:"), text
+        assert err.count("\n") == 1
+
+    # each violated condition is reported on stdout with exit code 1
+    good = format_labeling(rational_labeling(parse_tree(SIX_ELEVEN)))
+    for old, new, report in [
+        ("0: 5/11 1/11", "0: -5/11 1/11", "negative label at node '0'"),
+        (": 6/11 0", ": 6/11 1/11", "condition 1: root nu2 is nonzero"),
+        ("0: 5/11 1/11", "0: 1/11 1/11", "condition 2: node total below p at node '0'"),
+        ("0: 5/11 1/11", "0: 6/11 1/11", "condition 3: branch nu1 total exceeds q at leaf '0'"),
+    ]:
+        label_file.write_text(good.replace(old, new))
+        assert run(capsys, "validate-label", str(tree_file), str(label_file)) == (
+            1, f"INVALID: {report}\n", "")
+
     code, _, err = run(capsys, "tree-p", str(tmp_path / "missing.tree"))
     assert code == 2 and "error:" in err
 
@@ -201,7 +224,10 @@ def test_ordinals(capsys):
     assert run(capsys, "alpha", "4/9")[1] == "w*2\n"
     assert run(capsys, "ord-eval", "w-w")[1] == "0\n"
     assert run(capsys, "ord-eval", "1-w")[0] == 1
-    assert run(capsys, "ord-eval", "w+")[0] == 2
+    for text, _ in BAD_EXPRESSIONS:
+        code, out, err = run(capsys, "ord-eval", text)
+        assert (code, out) == (2, "") and err.startswith("error:"), text
+        assert err.count("\n") == 1
 
 
 def test_team_and_simulate(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Cantor-normal-form arithmetic and order types at supported points."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -92,6 +93,22 @@ def _leq(a, b):
         return True
     except DomainError:
         return False
+
+
+# expressions parse_ordinal refuses, each with its error message
+BAD_EXPRESSIONS = [
+    ("w$1", "unexpected character '$' in ordinal expression"),
+    ("(w+1", "expected ')', found None"),
+    ("w 2", "trailing input in ordinal expression: '2'"),
+    ("w+)", "unexpected token ')' in ordinal expression"),
+    ("w+", "ordinal expression ended unexpectedly"),
+]
+
+
+def test_parse_rejects_malformed():
+    for text, reason in BAD_EXPRESSIONS:
+        with pytest.raises(InputError, match=re.escape(reason)):
+            parse_ordinal(text)
 
 
 @given(ords())

@@ -1,6 +1,7 @@
 """Tree optima, labelings, validation, and the feasibility oracle."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from pfinhier import (
     scale_labeling,
     validate_labeling,
 )
-from pfinhier.trees import MAX_DEPTH, iter_nodes, leaf_paths
+from pfinhier.trees import MAX_DEPTH, iter_nodes, leaf_paths, parse_path
 
 from oracles import labeling_feasible
 
@@ -114,17 +115,20 @@ def test_integer_labeling_six_eleven():
 
 def test_validator_rejections():
     tree = parse_tree("(()())")
-    m, n, lab = integer_labeling(tree)
+    m, n, lab = integer_labeling(tree)  # p = 2, q = 3: root 2 0, children 1 1
 
-    low_root = Labeling(lab.p, lab.q, dict(lab.nu1), dict(lab.nu2))
-    low_root.nu1[()] = F(1)
-    ok, report = validate_labeling(tree, low_root)
-    assert not ok and "root" in report
+    def changed(nu1, nu2):
+        return Labeling(lab.p, lab.q, {**lab.nu1, **nu1}, {**lab.nu2, **nu2})
 
-    fat_child = Labeling(lab.p, lab.q, dict(lab.nu1), dict(lab.nu2))
-    fat_child.nu2[(0,)] = F(3)
-    ok, _ = validate_labeling(tree, fat_child)
-    assert not ok
+    for bad, report in [
+        (changed({(): F(1)}, {}), "condition 1: root nu1 1 < p"),
+        (changed({}, {(0,): F(3)}), "condition 2: nu2 outflow exceeds mass at node ''"),
+        (changed({}, {(0,): F(-1)}), "negative label at node '0'"),
+        (changed({}, {(): F(1)}), "condition 1: root nu2 is nonzero"),
+        (changed({(1,): F(0)}, {}), "condition 2: node total below p at node '1'"),
+        (changed({(0,): F(2)}, {}), "condition 3: branch nu1 total exceeds q at leaf '0'"),
+    ]:
+        assert validate_labeling(tree, bad) == (False, report)
 
     missing = Labeling(lab.p, lab.q, {(): lab.nu1[()]}, {(): F(0)})
     with pytest.raises(InputError):
@@ -176,6 +180,27 @@ def test_labeling_file_round_trip():
     assert format_labeling(back) == text
 
 
+# labeling texts parse_labeling refuses, each with its error message
+BAD_LABELINGS = [
+    ("", "empty labeling text"),
+    ("\n  \n", "empty labeling text"),
+    ("2\n: 2 0", "labeling header must be two rationals"),
+    ("2 3 4\n: 2 0", "labeling header must be two rationals"),
+    ("2 3\n: 2 0\n0 1 1", "malformed labeling line"),
+    ("2 3\n: 2", "labeling line needs two labels"),
+    ("2 3\n: 2 0 1", "labeling line needs two labels"),
+    ("2 3\n: 2 0\n0: 1 1\n0: 1 1", "duplicate node path: '0'"),
+    ("2 3\n: 2 0\n0.x: 1 1", "malformed node path"),
+    ("2 3\n: 2 0\n0.-1: 1 1", "negative index in node path"),
+]
+
+
+def test_parse_labeling_rejects_malformed():
+    for text, reason in BAD_LABELINGS:
+        with pytest.raises(InputError, match=re.escape(reason)):
+            parse_labeling(text)
+
+
 def test_feasibility_oracle_brackets_optimum():
     # the LP oracle agrees with the closed-form optimum from both sides
     for text in ("()", "(()())", SIX_ELEVEN, "((()())())"):
@@ -198,3 +223,8 @@ def test_paths_and_leaves():
     tree = parse_tree(SIX_ELEVEN)
     assert [path for path, _ in iter_nodes(tree)][0] == ()
     assert set(leaf_paths(tree)) == {(0,), (1, 0), (1, 1), (1, 2)}
+    assert parse_path(" 1.2 ") == (1, 2) and parse_path("") == ()
+    for text, reason in [("1..2", "malformed node path"), ("a", "malformed node path"),
+                         ("1.-2", "negative index in node path")]:
+        with pytest.raises(InputError, match=reason):
+            parse_path(text)
