@@ -40,8 +40,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from heapq import heapify, heappop, heappush
-from itertools import count
+from heapq import heapify, heappop
 
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
@@ -135,60 +134,36 @@ def _swaps(T, sn, sd, lower_of):
             yield k * d, (k - 1) * d + n
 
 
-def _drop(T, j, sn, sd):
-    """Pooled value (num, den) of the keyed tuple T without its j-th
-    component; T's reciprocals sum to sn/sd."""
-    p = T[j][1]
-    pn = p._numerator
-    rn, rd = sn * pn - p._denominator * sd, sd * pn
-    k = len(T) - 1
-    return k * rd, (k - 1) * rd + rn
-
-
 def _candidates(keyed, x: ExactRational, lower_of):
-    """The variant values above x of the stored keyed tuples of
-    xd_minimal(x, x), in exact ascending order, each variant once (see
-    predecessor).
+    """The candidates above x from the stored keyed tuples of
+    xd_minimal(x, x), in exact ascending order (see predecessor): the own
+    value of each tuple that does not generate x, and the swaps of each
+    tuple that does.
 
-    A lazy best-first search. Heap entries are (float, counter, num, den,
-    T, j, sn, sd): the value num/den and its float, a counter that settles
-    equal floats before any tuple is compared, and what the entry spawns
-    when popped. j == len(T) marks T's own value, which spawns T's swaps
-    and T without T[-1]; j < len(T) marks T without T[j], which spawns T
-    without T[j - 1]; T is None marks a swap, which spawns nothing. sn/sd
-    is T's reciprocal sum, taken once per tuple in integers.
+    Heap entries are (float, num, den) for the value num/den; each tuple's
+    reciprocals are summed once, in integers, and only a generator's
+    components are lowered.
     """
     xn, xd = x._numerator, x._denominator
-    counter = count()
     heap = []
     for T in keyed:
         k = len(T)
         sn, sd = reciprocal_sum(T)
         num, den = k * sd, (k - 1) * sd + sn
-        if num * xd < xn * den:
+        if num * xd > xn * den:
+            heap.append((num / den, num, den))
+        elif num * xd == xn * den:
+            heap.extend((num / den, num, den) for num, den in _swaps(T, sn, sd, lower_of))
+        else:
             raise ConsistencyError(f"a stored tuple of {x} pools below it")
-        heap.append((num / den, next(counter), num, den, T, k, sn, sd))
     heapify(heap)
     while heap:
-        # equal floats may hide distinct values: gather the whole run,
-        # entries it spawns included, and order it exactly
+        # equal floats may hide distinct values: order each run exactly
         f = heap[0][0]
         tied = []
         while heap and heap[0][0] == f:
-            _, _, num, den, T, j, sn, sd = heappop(heap)
-            if num * xd > xn * den:
-                tied.append(ExactRational(num, den))
-            if T is None:
-                continue
-            k = len(T)
-            if j == k:
-                for num, den in _swaps(T, sn, sd, lower_of):
-                    heappush(heap, (num / den, next(counter), num, den, None, 0, 0, 0))
-            if j and k > 1:
-                num, den = _drop(T, j - 1, sn, sd)
-                if num * xd <= xn * den:
-                    raise ConsistencyError(f"a stored tuple of {x} less a component pools to at most {x}")
-                heappush(heap, (num / den, next(counter), num, den, T, j - 1, sn, sd))
+            _, num, den = heappop(heap)
+            tied.append(ExactRational(num, den))
         tied.sort()
         yield from tied
 
@@ -305,55 +280,55 @@ class Hierarchy:
     def predecessor(self, x: ExactRational) -> ExactRational:
         """The member immediately above the successor x.
 
-        Above 1/2 it is the closed form (n-1)/(2n-3). Below, the candidates
-        are the pooled values of three kinds of variant of each tuple T of
-        the (x, x)-minimal set: T itself, T with one component dropped
-        (while one remains), and T with one successor component replaced
-        by its predecessor. Candidates above x are tried in ascending
-        order, and the first member is the answer.
+        Above 1/2 it is the closed form (n-1)/(2n-3). Below, let u be the
+        answer and read the stored tuples of the (x, x)-minimal set, each
+        ascending, with k components whose reciprocals sum to S, so that it
+        pools to k/(k - 1 + S). A tuple generates x when it pools to x
+        exactly; every stored tuple pools to at least x, since its
+        contributions c(x, q) = x/q + x - 1 are positive and total at most
+        x. The candidates are:
 
-        The candidates come from a lazy best-first search (_candidates)
-        that builds a variant only when the search can reach it. It reads
-        the stored tuples as they sit in the (x, x) budget-table entry
-        (minimal_sets._xx_entry), as keyed tuples of (float, member)
-        pairs, so no MinimalSet is built and no tuple is stripped. Each
-        stored T is ascending, with k components whose reciprocals sum to
-        S, so it pools to k/(k - 1 + S); each component contributes
-        c(x, p) = x/p + x - 1 > 0 to a total x*S - k*(1 - x) of at most x.
-        So:
+        - the own value of each stored tuple that does not generate x, and
+        - each swap of a stored generator: one successor component
+          replaced by its predecessor.
 
-        - T's own value is at least x, and equals x exactly when T
-          generates x;
-        - every swap lies above T's own value: it raises a component,
-          since predecessor(p) > p, and the pooled value rises with each
-          component;
-        - every drop lies above T's own value: dropping p pools to
-          (k - 1)/(k - 2 + S - 1/p), which exceeds k/(k - 1 + S) exactly
-          when S < 1 + k/p, and the total gives S <= 1 + k/x - k while
-          c(x, p) > 0 gives 1/p > 1/x - 1;
-        - drops ascend as the dropped index falls: without T[-1] is the
-          least, without T[0] the greatest.
+        They lie above x, because pooling rises strictly with each
+        component, and u is the least candidate that is a member. The
+        proof rests on two facts of the paper: the hierarchy is well
+        ordered in descending order, and closed under valid applications.
+        Let x lie in the segment [r_lo, r_hi) of the anchor [h(p), h(r)],
+        where p < t = x/(1 - x) < r are consecutive members.
 
-        So the heap starts with one entry per stored T, its own value
-        (x itself for a generator), and builds no variant before a pop.
-        Popping an own value pushes T's swaps and the head of its drop
-        chain (T without T[-1]), when T has two components or more; this
-        is the only place a component is classified and lowered. Popping
-        the drop of T[j] pushes the drop of T[j - 1]. Only values above x
-        are yielded. Invariant: every candidate not yet built is at least
-        the entry that will spawn it, and that entry is in the heap; so
-        the heap's least entry is the least candidate not yet tried, and
-        the candidates, duplicates included, leave in the order of
-        sorting all of them at once.
+        1. r_hi is a member above x, so u <= r_hi and u lies in the same
+           segment. So some tuple T_u over [r_hi, 1] generates u; for
+           u = r_hi it is the singleton.
+        2. Each component q of T_u has c(u, q) > 0, so q < u/(1 - u) <= r,
+           hence q <= p < t and c(x, q) > 0. T_u totals x + k(x/u - 1) <= x
+           at budget x, so it is allowed there, and some stored S of the
+           same length has S <= T_u componentwise.
+        3. Take any tuple W of members between S and T_u, componentwise.
+           Its components lie in [r_hi, p], so its weights lie in (0, 1]
+           and W is a valid application: apply_rule(W) is a member in
+           [x, u], hence x or u.
+        4. If S = T_u, u is the own value of S, which does not generate x.
+           Otherwise S pools strictly below u, so S generates x. No W
+           strictly between S and T_u may pool strictly between x and u,
+           so they differ in exactly one component, where T_u holds the
+           member immediately above S's: S's component is a successor
+           (a limit has no member immediately above it) and T_u's is its
+           predecessor. So u is a swap of the generator S.
 
-        Each value follows in O(1) from T's reciprocal sum, taken once
-        in integers over its keys, and entries are keyed on their floats.
-        Integer true division rounds correctly, so a spawned entry's
-        float is at least the float that spawned it. Distinct values can
-        round to the same float, and trying the larger of two tied
-        members first would return a member that is not the next one
-        above x, so each run of equal floats, entries spawned while
-        popping it included, is sorted exactly before any of it is tried.
+        The candidates come from _candidates, which reads the stored tuples
+        as they sit in the (x, x) budget-table entry (minimal_sets._xx_entry),
+        as keyed tuples of (float, member) pairs, so no MinimalSet is built
+        and no tuple is stripped. Each value follows in O(1) from its
+        tuple's reciprocal sum, taken once in integers, and only a
+        generator's components are classified and lowered. The candidates
+        are tried from a heap keyed on their floats. Distinct values can
+        round to the same float, and trying the larger of two tied members
+        first would return a member that is not the next one above x, so
+        each run of equal floats is sorted exactly before any of it is
+        tried.
         """
         cls = self.classify(x)
         if cls is not Classification.SUCCESSOR:

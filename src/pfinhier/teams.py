@@ -194,11 +194,13 @@ def _modulus(a: ExactRational, m: int) -> int:
 def _closure_size(ctx: SimulationContext, k: int, size) -> int:
     """lcm of k with every funding denominator and sub-team modulus of ctx.
 
-    size(q) is the team size the recursion demands at row q.
+    size(q) is the team size the recursion demands at row q. Rows are
+    asked from the largest down, so the recursion at each row finds the
+    rows above it already memoized instead of nesting under them.
     """
     for _, value, _ in ctx.funding:
         k = lcm(k, value.denominator)
-    for q in ctx.P_prime:
+    for q in reversed(ctx.P_prime):
         if q != ctx.x:
             k = lcm(k, _modulus(ctx.p0 / q, size(q)))
     if ctx.p0_upper_pred is not None:

@@ -249,6 +249,16 @@ def test_team_and_simulate(capsys, tmp_path):
     assert branches == sorted(branches)
 
 
+def test_simulate_sizes_deep_sub_teams(capsys, tmp_path):
+    # 1004/2257 has 251 rows, whose sub-team sizes once nested each under
+    # the next until the stack overflowed
+    trace = tmp_path / "leaf.trace"
+    trace.write_text("()\n1004/2257 1\n: 1004/2257 0\n")
+    code, out, err = run(capsys, "simulate", str(trace), "--x", "1004/2257")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "k = " + run(capsys, "team-size", "1004/2257")[1].strip()
+
+
 def test_json_shape_and_determinism(capsys):
     code, out1, _ = run(capsys, "--json", "classify", "12/25")
     obj = json.loads(out1)

@@ -3,7 +3,6 @@
 import json
 from collections import Counter
 from fractions import Fraction as F
-from heapq import heapify
 
 import pytest
 from hypothesis import given, settings
@@ -116,58 +115,91 @@ def test_members_are_interned_per_hierarchy():
                 assert c == seen[c] and c is not seen[c]
 
 
-def test_candidates_drain_to_every_variant(hier):
-    # drained to the end, the lazy search yields, in ascending order, the
-    # values above x of T, of T less each component and of T with each
-    # successor component lowered, over every stored T, pooled outright
-    x = F(7, 17)
-
-    def lower_of(p):
-        return hier.predecessor(p) if hier.classify(p) is Classification.SUCCESSOR else None
-
-    tuples = hier.xd_minimal(x, x).tuples
-    expected = Counter()
-    for T in tuples:
-        variants = [T]
-        for j, p in enumerate(T):
-            rest = T[:j] + T[j + 1:]
-            if rest:
-                variants.append(rest)
-            if lower_of(p) is not None:
-                variants.append(rest + (lower_of(p),))
-        expected.update(v for v in map(apply_rule, variants) if v > x)
-    drained = list(_candidates([tuple(map(hier._key, T)) for T in tuples], x, lower_of))
-    assert drained == sorted(drained)
-    assert Counter(drained) == expected
+def lowering(hier):
+    """The search's lower_of: predecessor(p) for a successor p, else None."""
+    return lambda p: hier.predecessor(p) if hier.classify(p) is Classification.SUCCESSOR else None
 
 
-def test_candidates_seed_each_tuple_by_its_own_value(hier, monkeypatch):
-    # before its first pop the search holds one entry per stored tuple, its
-    # own value (x itself for a generator), and has built no swap or drop
-    built = []
-    for name in ("_drop", "_swaps"):
-        real = getattr(hierarchy, name)
-        monkeypatch.setattr(hierarchy, name,
-                            lambda *args, real=real, name=name: built.append(name) or real(*args))
-    seeded = []
+def test_candidates_drain_to_own_values_and_generator_swaps(hier):
+    # drained to the end, the search yields, in ascending order, the own
+    # value of every stored T that does not generate x and every swap of
+    # every stored T that does, pooled outright
+    kinds = Counter()
+    for x in (F(12, 25), F(7, 17)):
+        tuples = hier.xd_minimal(x, x).tuples
+        expected = Counter()
+        for T in tuples:
+            if apply_rule(T) != x:
+                expected[apply_rule(T)] += 1
+                kinds["own"] += 1
+                continue
+            for j, p in enumerate(T):
+                if hier.classify(p) is Classification.SUCCESSOR:
+                    expected[apply_rule(T[:j] + (hier.predecessor(p),) + T[j + 1:])] += 1
+                    kinds["swap"] += 1
+        drained = list(_candidates([tuple(map(hier._key, T)) for T in tuples], x, lowering(hier)))
+        assert drained == sorted(drained), x
+        assert Counter(drained) == expected, x
+    assert kinds["own"] and kinds["swap"], kinds
 
-    def recorded(heap):
-        seeded.append(([F(entry[2], entry[3]) for entry in heap], list(built)))
-        heapify(heap)
 
-    def lower_of(p):
-        built.append("lower_of")
-        return hier.predecessor(p) if hier.classify(p) is Classification.SUCCESSOR else None
+def test_candidates_lower_only_generator_components(hier, monkeypatch):
+    # swaps are built for the generators only, and lower_of sees only their
+    # components, each once, before the first candidate leaves
+    swapped = []
+    real = hierarchy._swaps
+    monkeypatch.setattr(hierarchy, "_swaps", lambda T, *rest: swapped.append(T) or real(T, *rest))
+    lowered = []
+    lower_of = lowering(hier)
+
+    def recorded(p):
+        lowered.append(p)
+        return lower_of(p)
 
     for x in (F(12, 25), F(7, 17)):
         tuples = hier.xd_minimal(x, x).tuples
-        seeded.clear()
-        built.clear()
-        with monkeypatch.context() as m:
-            m.setattr(hierarchy, "heapify", recorded)
-            first = next(_candidates([tuple(map(hier._key, T)) for T in tuples], x, lower_of))
-        assert seeded == [([apply_rule(T) for T in tuples], [])], x
-        assert first > x and built, x
+        generators = [T for T in tuples if apply_rule(T) == x]
+        swapped.clear()
+        lowered.clear()
+        first = next(_candidates([tuple(map(hier._key, T)) for T in tuples], x, recorded))
+        assert generators and first > x, x
+        assert [tuple(c for _, c in T) for T in swapped] == generators, x
+        assert lowered == [p for T in generators for p in T], x
+
+
+def test_a_generator_swap_decides_alone(hier):
+    # fed only the generator (3/5, 2/3) of 12/25, the search must reach
+    # predecessor(12/25) = 1/2 through a swap: 3/5 lowered to 2/3
+    x = F(12, 25)
+    generator = (F(3, 5), F(2, 3))
+    assert apply_rule(generator) == x
+    candidates = _candidates([tuple(map(hier._key, generator))], x, lowering(hier))
+    members = [v for v in candidates if hier.is_member(v)]
+    assert members[:1] == [F(1, 2)] == [hier.predecessor(x)]
+
+
+def test_predecessor_is_an_own_value_or_a_generator_swap(hier):
+    # the claim proved in predecessor's docstring, checked with apply_rule
+    # over the stored tuples on every successor below 1/2 in the golden
+    # corpus or in LOW_GRID
+    corpus = json.loads(GOLDEN.read_text())
+    frozen = [*corpus["predecessor"], *corpus["ladder_predecessor"]]
+    points = {parse_rational(x) for x in frozen}.union(LOW_GRID)
+    checked = 0
+    for x in sorted(points):
+        if x >= F(1, 2) or hier.classify(x) is not Classification.SUCCESSOR:
+            continue
+        own, swaps = set(), set()
+        for T in hier.xd_minimal(x, x).tuples:
+            if apply_rule(T) != x:
+                own.add(apply_rule(T))
+                continue
+            for j, p in enumerate(T):
+                if hier.classify(p) is Classification.SUCCESSOR:
+                    swaps.add(apply_rule(T[:j] + (hier.predecessor(p),) + T[j + 1:]))
+        assert hier.predecessor(x) in own | swaps, x
+        checked += 1
+    assert checked == 223
 
 
 def test_every_variant_pools_above_its_tuple(hier):
