@@ -120,26 +120,31 @@ def lowering(hier):
     return lambda p: hier.predecessor(p) if hier.classify(p) is Classification.SUCCESSOR else None
 
 
+def own_values_and_generator_swaps(hier, x):
+    """By apply_rule alone, over the stored tuples of xd_minimal(x, x): the
+    own values of those that do not generate x, and the swaps of those that do."""
+    own, swaps = Counter(), Counter()
+    for T in hier.xd_minimal(x, x).tuples:
+        if apply_rule(T) != x:
+            own[apply_rule(T)] += 1
+            continue
+        for j, p in enumerate(T):
+            if hier.classify(p) is Classification.SUCCESSOR:
+                swaps[apply_rule(T[:j] + (hier.predecessor(p),) + T[j + 1:])] += 1
+    return own, swaps
+
+
 def test_candidates_drain_to_own_values_and_generator_swaps(hier):
-    # drained to the end, the search yields, in ascending order, the own
-    # value of every stored T that does not generate x and every swap of
-    # every stored T that does, pooled outright
+    # drained to the end, the search yields exactly those values, in
+    # ascending order
     kinds = Counter()
     for x in (F(12, 25), F(7, 17)):
-        tuples = hier.xd_minimal(x, x).tuples
-        expected = Counter()
-        for T in tuples:
-            if apply_rule(T) != x:
-                expected[apply_rule(T)] += 1
-                kinds["own"] += 1
-                continue
-            for j, p in enumerate(T):
-                if hier.classify(p) is Classification.SUCCESSOR:
-                    expected[apply_rule(T[:j] + (hier.predecessor(p),) + T[j + 1:])] += 1
-                    kinds["swap"] += 1
-        drained = list(_candidates([tuple(map(hier._key, T)) for T in tuples], x, lowering(hier)))
+        own, swaps = own_values_and_generator_swaps(hier, x)
+        keyed = [tuple(map(hier._key, T)) for T in hier.xd_minimal(x, x).tuples]
+        drained = list(_candidates(keyed, x, lowering(hier)))
         assert drained == sorted(drained), x
-        assert Counter(drained) == expected, x
+        assert Counter(drained) == own + swaps, x
+        kinds.update(own=own.total(), swap=swaps.total())
     assert kinds["own"] and kinds["swap"], kinds
 
 
@@ -189,15 +194,9 @@ def test_predecessor_is_an_own_value_or_a_generator_swap(hier):
     for x in sorted(points):
         if x >= F(1, 2) or hier.classify(x) is not Classification.SUCCESSOR:
             continue
-        own, swaps = set(), set()
-        for T in hier.xd_minimal(x, x).tuples:
-            if apply_rule(T) != x:
-                own.add(apply_rule(T))
-                continue
-            for j, p in enumerate(T):
-                if hier.classify(p) is Classification.SUCCESSOR:
-                    swaps.add(apply_rule(T[:j] + (hier.predecessor(p),) + T[j + 1:]))
-        assert hier.predecessor(x) in own | swaps, x
+        own, swaps = own_values_and_generator_swaps(hier, x)
+        u = hier.predecessor(x)
+        assert u in own or u in swaps, x
         checked += 1
     assert checked == 223
 
