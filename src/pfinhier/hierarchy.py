@@ -16,22 +16,19 @@ it. Only successors also have an immediate member above them (the
 predecessor); limit members are approached from above by computable
 strictly decreasing sequences.
 
-All queries live on a Hierarchy object, which memoizes classifications,
-segments, governing floors, predecessors, limit sequences, brackets and
-neighbors per instance. It also owns the minimal-set tables, one per x
-over the governing floor of x, each set stored once for the whole
-interval of budgets that yields it. A memoized limit sequence keeps
-every term it has computed, for all later callers.
+All queries live on a Hierarchy object, which memoizes segments,
+governing floors, limit sequences, brackets and neighbors per instance.
+It also owns the minimal-set tables, one per x over the governing floor
+of x, each set stored once for the whole interval of budgets that yields
+it. A memoized limit sequence keeps every term it has computed.
 
-Each Hierarchy also keeps one sort key per member value: predecessors,
-brackets, neighbors and limit-sequence terms pass through its intern
-table, keyed on (numerator, denominator), before they are handed out.
-The table holds each member's key (float, member), built once, so equal
-members it returns are the same object, and the minimal-set walk stores
-its tuples as tuples of these keys. Comparing two keyed tuples compares
-floats and settles equal members on identity; only distinct members
-whose floats tie compare as Fractions. Two hierarchies share no such
-table.
+Its intern table, keyed on (numerator, denominator), holds one record
+per value: its sort key (float, value), built once, and, once worked
+out, its classification and its predecessor's record, where classify
+and predecessor memoize. Equal members handed out are one object, and
+the walk steps from a successor to its predecessor by one link and
+stores tuples of these keys, which compare floats first and settle
+equal members on identity. Two hierarchies share no table.
 Queries below the configured floor level raise FloorError instead of
 recursing without bound.
 """
@@ -39,22 +36,14 @@ recursing without bound.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from heapq import heapify, heappop
 
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
 from .memo import memoized
 from .rationals import ExactRational, HALF, ONE, ZERO, ascending_key
-from .minimal_sets import reciprocal_sum
+from .minimal_sets import Classification, reciprocal_sum
 from .rules import apply_rule, h_inverse, h_map, is_valid_application
-
-
-class Classification(Enum):
-    MAXIMAL = "MAX"
-    SUCCESSOR = "SUCC"
-    LIMIT = "LIM"
-    NOT_MEMBER = "NONE"
 
 
 class Segment(namedtuple("Segment", "anchor_low r_lo r_hi")):
@@ -107,19 +96,9 @@ class LimitSequence:
         return [self.term(k) for k in range(n)]
 
 
-def _generates(T, x: ExactRational) -> bool:
-    """Whether apply_rule(T) == x for the keyed tuple T: its k reciprocals
-    sum to k/x - (k - 1)."""
-    k = len(T)
-    sn, sd = reciprocal_sum(T)
-    xn, xd = x._numerator, x._denominator
-    return sn * xn == (k * xd - (k - 1) * xn) * sd
-
-
 def _swaps(T, sn, sd, lower_of):
     """Pooled values (num, den) of the keyed tuple T with one component p
-    replaced by lower_of(p), wherever that is not None; T's reciprocals
-    sum to sn/sd.
+    replaced by lower_of(p); T's reciprocals sum to sn/sd.
 
     A variant of k components whose reciprocals sum to n/d pools to
     k*d / ((k - 1)*d + n), so each swap follows from sn/sd in O(1).
@@ -127,11 +106,10 @@ def _swaps(T, sn, sd, lower_of):
     k = len(T)
     for _, p in T:
         q = lower_of(p)
-        if q is not None:
-            pn, pd, qn, qd = p._numerator, p._denominator, q._numerator, q._denominator
-            rn, rd = sn * pn - pd * sd, sd * pn  # p dropped
-            n, d = rn * qn + qd * rd, rd * qn
-            yield k * d, (k - 1) * d + n
+        pn, pd, qn, qd = p._numerator, p._denominator, q._numerator, q._denominator
+        rn, rd = sn * pn - pd * sd, sd * pn  # p dropped
+        n, d = rn * qn + qd * rd, rd * qn
+        yield k * d, (k - 1) * d + n
 
 
 def _candidates(keyed, x: ExactRational, lower_of):
@@ -168,6 +146,15 @@ def _candidates(keyed, x: ExactRational, lower_of):
         yield from tied
 
 
+class _Record:
+    """A value's sort key, then its classification and predecessor's record."""
+
+    __slots__ = ("key", "cls", "pred")
+
+    def __init__(self, key):
+        self.key, self.cls, self.pred = key, None, None
+
+
 class Hierarchy:
     """Memoized query surface over the constructed levels."""
 
@@ -175,20 +162,20 @@ class Hierarchy:
         if floor_level < 1:
             raise InputError(f"floor level must be at least 1: {floor_level}")
         self.floor_level = floor_level
-        # (numerator, denominator) -> the member's sort key (float, member)
-        self._members: dict[tuple[int, int], tuple[float, ExactRational]] = {}
+        # (numerator, denominator) -> the value's record
+        self._members: dict[tuple[int, int], _Record] = {}
 
-    def _key(self, value: ExactRational) -> tuple[float, ExactRational]:
-        """This hierarchy's one sort key for the member value (see ascending_key)."""
+    def _record(self, value: ExactRational) -> _Record:
+        """This hierarchy's one record for the value."""
         pair = value._numerator, value._denominator
-        key = self._members.get(pair)
-        if key is None:
-            key = self._members[pair] = ascending_key(value)
-        return key
+        rec = self._members.get(pair)
+        if rec is None:
+            rec = self._members[pair] = _Record(ascending_key(value))
+        return rec
 
     def _member(self, value: ExactRational) -> ExactRational:
         """This hierarchy's one object for the member value."""
-        return self._key(value)[1]
+        return self._record(value).key[1]
 
     # ---- guards ----
 
@@ -208,8 +195,18 @@ class Hierarchy:
 
     # ---- classification ----
 
-    @memoized(_check)
     def classify(self, x: ExactRational) -> Classification:
+        self._check(x)
+        rec = self._members.get((x._numerator, x._denominator)) or self._record(x)  # hits: no call
+        return rec.cls or self._classified(rec)
+
+    def _classified(self, rec: _Record) -> Classification:
+        """rec's classification, worked out on first read, past the guard."""
+        if rec.cls is None:
+            rec.cls = self._classify(rec.key[1])
+        return rec.cls
+
+    def _classify(self, x: ExactRational) -> Classification:
         n, den = x._numerator, x._denominator
         if 2 * n >= den:  # x >= 1/2
             if n == den:
@@ -225,16 +222,14 @@ class Hierarchy:
         seg = self.segment_of(x)
         if x == seg.r_lo:
             return Classification.LIMIT
-        lo_n, lo_d, _, _, keyed = minimal_sets._xx_entry(self, x)
+        entry = minimal_sets._xx_entry(self, x)
         # lo is the largest total among the stored tuples, and a generator
         # is a stored tuple whose total is x; both ends are reduced
-        if lo_n != n or lo_d != den:
+        if entry[0] != n or entry[1] != den:
             return Classification.NOT_MEMBER
-        for T in keyed:
-            if not _generates(T, x):
-                continue
-            if any(self.classify(c) is Classification.LIMIT for _, c in T):
-                return Classification.LIMIT
+        generators = minimal_sets._tuples_at_lo(entry, {})
+        if any(self.classify(c) is Classification.LIMIT for T in generators for _, c in T):
+            return Classification.LIMIT
         return Classification.SUCCESSOR
 
     def is_member(self, x: ExactRational) -> bool:
@@ -276,7 +271,6 @@ class Hierarchy:
 
     # ---- predecessor ----
 
-    @memoized(_check)
     def predecessor(self, x: ExactRational) -> ExactRational:
         """The member immediately above the successor x.
 
@@ -318,17 +312,16 @@ class Hierarchy:
            (a limit has no member immediately above it) and T_u's is its
            predecessor. So u is a swap of the generator S.
 
-        The candidates come from _candidates, which reads the stored tuples
-        as they sit in the (x, x) budget-table entry (minimal_sets._xx_entry),
-        as keyed tuples of (float, member) pairs, so no MinimalSet is built
-        and no tuple is stripped. Each value follows in O(1) from its
-        tuple's reciprocal sum, taken once in integers, and only a
-        generator's components are classified and lowered. The candidates
-        are tried from a heap keyed on their floats. Distinct values can
-        round to the same float, and trying the larger of two tied members
-        first would return a member that is not the next one above x, so
-        each run of equal floats is sorted exactly before any of it is
-        tried.
+        Every component of a generator of x is itself a successor: classify
+        answers SUCCESSOR only when no generator has a limit component, and
+        c(x, 1) = 2x - 1 < 0 keeps 1 out. _lower_of lowers each through its
+        record, which raises ConsistencyError should one not be a successor.
+
+        _candidates reads the keyed tuples of the stored (x, x) entry and
+        gets each value in O(1) from its tuple's integer reciprocal sum. It
+        yields them from a heap keyed on floats; distinct values can share
+        a float, and the larger of two tied members is not the next above
+        x, so each run of equal floats is sorted exactly first.
         """
         cls = self.classify(x)
         if cls is not Classification.SUCCESSOR:
@@ -338,18 +331,30 @@ class Hierarchy:
                 Classification.NOT_MEMBER: "not a member",
             }[cls]
             raise DomainError(f"no predecessor: {x} is {kind}")
+        rec = self._members[x._numerator, x._denominator]  # classify made it
+        return (rec.pred or self._lowered(rec)).key[1]
+
+    def _lowered(self, rec: _Record) -> _Record:
+        """rec's predecessor's record, worked out on first read, past the guard."""
+        if rec.pred is None:
+            if self._classified(rec) is not Classification.SUCCESSOR:
+                raise ConsistencyError(f"the kernel asked for a predecessor of {rec.key[1]}")
+            rec.pred = self._predecessor(rec.key[1])
+        return rec.pred
+
+    def _predecessor(self, x: ExactRational) -> _Record:
         n = x._numerator
         if 2 * n > x._denominator:  # x > 1/2
-            return self._member(ExactRational(n - 1, 2 * (n - 1) - 1))
-
-        def lower_of(p):
-            return self.predecessor(p) if self.classify(p) is Classification.SUCCESSOR else None
-
+            return self._record(ExactRational(n - 1, 2 * (n - 1) - 1))
         keyed = minimal_sets._xx_entry(self, x)[4]
-        for value in _candidates(keyed, x, lower_of):
+        for value in _candidates(keyed, x, self._lower_of):
             if self.classify(value) is not Classification.NOT_MEMBER:
-                return self._member(value)
+                return self._record(value)
         raise ConsistencyError(f"no member candidate above successor {x}")
+
+    def _lower_of(self, p: ExactRational) -> ExactRational:
+        """The predecessor of the generator component p (see predecessor)."""
+        return self._lowered(self._record(p)).key[1]
 
     # ---- limit sequences ----
 
@@ -374,9 +379,7 @@ class Hierarchy:
             p = h_inverse(seg.anchor_low)
             upper = self.limit_sequence(seg.r_hi)
             return self._substituted_sequence((p, p), 1, upper, seg.r_hi)
-        for K in minimal_sets._xx_entry(self, x)[4]:
-            if not _generates(K, x):
-                continue
+        for K in minimal_sets._tuples_at_lo(minimal_sets._xx_entry(self, x), {}):
             T = tuple(c for _, c in K)
             for j, c in enumerate(T):
                 if self.classify(c) is Classification.LIMIT:
@@ -433,22 +436,24 @@ class Hierarchy:
         finite, so the climb ends.
         """
         below = p.__gt__ if strict else p.__ge__
-        cur = self._member(ExactRational(1, p.denominator // p.numerator + 1))
+        rec = self._record(ExactRational(1, p.denominator // p.numerator + 1))
+        self._check(rec.key[1])  # under the floor when p is the floor edge
         while True:
+            cur = rec.key[1]
             if cur == p:
                 return cur, cur
-            cls = self.classify(cur)
+            cls = self._classified(rec)
             if cls is Classification.SUCCESSOR:
-                nxt = self.predecessor(cur)
-                if not below(nxt):
-                    return cur, nxt
-                cur = nxt
+                nxt = self._lowered(rec)
+                if not below(nxt.key[1]):
+                    return cur, nxt.key[1]
+                rec = nxt
             elif cls is Classification.LIMIT:
                 seq = self.limit_sequence(cur)
                 k = 0
                 while not below(seq.term(k)):
                     k += 1
-                cur = seq.term(k)
+                rec = self._record(seq.term(k))
             else:
                 raise ConsistencyError(f"climb reached a non-member waypoint {cur}")
 

@@ -14,12 +14,12 @@ recurses on the remaining budget; at a limit component it asks
 find_smallest for the least total above the inner budget among one-step
 changes of the inner set's tuples, and jumps past it.
 
-Functions take the hierarchy handle explicitly; it must provide classify,
-predecessor, bracket, next_below, governing_floor and _key. Each handle
-keeps one budget table per x, whose floor is fixed when the table is
-built: the floor and the pair (p0', delta) that every budget of that x
-shares, and the sets found so far, each stored once for the whole
-interval [lo, hi) of budgets that yields it (see _build_set).
+Functions take the hierarchy handle explicitly; it must provide bracket,
+next_below, governing_floor and the member records (_record, _classified,
+_lowered) through which the walk steps unguarded. Each handle keeps one
+budget table per x: the floor and (p0', delta) that every budget of that
+x shares, and each set found, stored once for the whole interval
+[lo, hi) of budgets that yields it (see _build_set).
 
 The arithmetic is exact and integer-based: the walk keeps budgets,
 contributions and interval ends as integer numerator/denominator pairs
@@ -29,22 +29,25 @@ admit no tuple and return the empty set before any table lookup.
 
 Inside the table and the walk a tuple is stored as its exact sort key:
 the tuple of its members' keys (float, member), each built once by the
-handle's intern table (Hierarchy._key). The walk inserts a component
+handle's intern table (Hierarchy._record). The walk inserts a component
 into an ascending keyed tuple by bisection, collects the extended tuples
 in one bucket per length, and orders a set by sorting each bucket with
 a plain sort, which compares floats and falls back to the exact members
 only when two floats tie, then dropping adjacent repeats (_ordered).
 
-Only public sets strip the keys, once per call. Everything inside the
-kernel reads keyed tuples: the walk hands its inner sets to
-find_smallest's integer step as they are stored, and classify,
-predecessor and limit_sequence read the stored (x, x) entry through
-_xx_entry, so they neither build a MinimalSet nor strip a tuple.
+Only public sets strip the keys; classify, predecessor and
+limit_sequence read the stored (x, x) entry (_xx_entry). Each entry
+carries its at-lo visits: the visits y, with inner entries, where
+c(x, y) + lo(inner) is its lo. A tuple sits at lo exactly when it extends
+an inner tuple at lo(inner) through such a visit, so _tuples_at_lo
+expands the tuples at lo (at an (x, x) entry with lo = x, the generators
+of x) without summing a tuple.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from enum import Enum
 from math import gcd
 from operator import itemgetter
 
@@ -53,6 +56,16 @@ from .memo import memoized
 from .rationals import ExactRational, ONE
 from .rules import contribution
 
+
+# what Hierarchy.classify answers; defined here, where the walk reads it
+class Classification(Enum):
+    MAXIMAL = "MAX"
+    SUCCESSOR = "SUCC"
+    LIMIT = "LIM"
+    NOT_MEMBER = "NONE"
+
+
+MAXIMAL, SUCCESSOR = Classification.MAXIMAL, Classification.SUCCESSOR
 Components = tuple[ExactRational, ...]
 # a tuple of members as its exact sort key: each member's (float, member)
 Keyed = tuple[tuple[float, ExactRational], ...]
@@ -146,29 +159,23 @@ def _ordered(buckets: dict[int, list[Keyed]]) -> tuple[Keyed, ...]:
     return tuple(keyed)
 
 
-def _reduced(n: int, d: int) -> tuple[int, int]:
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 class _BudgetTable:
     """What every budget of one x shares, and the sets found so far.
 
-    entries ascend by lo and hold (lo_n, lo_d, hi_n, hi_d, keyed): the
-    set for every budget in [lo, hi), both ends as reduced integer pairs.
-    keyed holds the set's tuples as their sort keys only (see the module
-    docstring), distinct and in (length, components) order; no member
-    tuple is stored beside them. The intervals are disjoint. lows[i] is
-    the float of entries[i]'s lo, for bisection.
+    entries ascend by lo and hold (lo_n, lo_d, hi_n, hi_d, keyed, at_lo):
+    the set for every budget in [lo, hi), both ends as reduced integer
+    pairs. keyed holds the set's tuples as their sort keys only (see the
+    module docstring), distinct and in (length, components) order, and
+    at_lo the walk's at-lo visits flat, as key of y, inner entry, and so
+    on. The intervals are disjoint; every budget below delta shares the
+    entry empty. lows[i] is the float of entries[i]'s lo, for bisection.
     """
 
-    __slots__ = ("x", "floor", "p0_prime", "delta", "lows", "entries")
+    __slots__ = ("x", "floor", "p0_prime", "delta", "empty", "lows", "entries")
 
     def __init__(self, x, floor, p0_prime: ExactRational, delta: ExactRational):
-        self.x = x
-        self.floor = floor
-        self.p0_prime = p0_prime
-        self.delta = delta
+        self.x, self.floor, self.p0_prime, self.delta = x, floor, p0_prime, delta
+        self.empty = 0, 1, delta._numerator, delta._denominator, (), ()
         self.lows: list[float] = []
         self.entries: list[tuple] = []
 
@@ -195,7 +202,7 @@ class _BudgetTable:
     def record(self, dn: int, dd: int, entry) -> None:
         """Store the entry walked at dn/dd, whose interval must hold it and
         meet no stored one."""
-        lo_n, lo_d, hi_n, hi_d, keyed = entry
+        lo_n, lo_d, hi_n, hi_d, keyed, _ = entry
         if lo_n * dd > dn * lo_d or dn * hi_d >= hi_n * dd:
             raise ConsistencyError(
                 f"budget {dn}/{dd} lies outside its walked interval [{lo_n}/{lo_d}, {hi_n}/{hi_d})"
@@ -273,7 +280,7 @@ def find_smallest(hier, P: MinimalSet):
     while the singleton (3/5) reaches 1/9.
     """
     table = _budget_table(hier, P.x)
-    keyed = tuple(tuple(map(hier._key, T)) for T in P.tuples)
+    keyed = tuple(tuple(hier._record(p).key for p in T) for T in P.tuples)
     t = _next_total(hier, table, keyed, P.d.numerator, P.d.denominator)
     return None if t is None else ExactRational(*t)
 
@@ -310,7 +317,8 @@ def _next_total(hier, table: _BudgetTable, keyed: tuple[Keyed, ...], rn: int, rd
                 best_n, best_d = cn, cd
     if best_d == 0:
         return None
-    return _reduced(best_n, best_d)
+    g = gcd(best_n, best_d)
+    return best_n // g, best_d // g
 
 
 def _build_set(hier, x: ExactRational, d: ExactRational) -> MinimalSet:
@@ -376,7 +384,7 @@ def _build_set(hier, x: ExactRational, d: ExactRational) -> MinimalSet:
     if dn < 0 or dn * x.denominator > x.numerator * dd:
         raise InputError(f"budget d must lie in [0, x]: d={d}, x={x}")
     table = _budget_table(hier, x)
-    lo_n, lo_d, hi_n, hi_d, keyed = _minimal(hier, table, dn, dd)
+    lo_n, lo_d, hi_n, hi_d, keyed, _ = _minimal(hier, table, dn, dd)
     return MinimalSet(
         x=x, d=d, floor=table.floor, delta=table.delta, p0_prime=table.p0_prime,
         tuples=_stripped(keyed),
@@ -385,23 +393,32 @@ def _build_set(hier, x: ExactRational, d: ExactRational) -> MinimalSet:
 
 
 def _xx_entry(hier, x: ExactRational):
-    """The table entry (lo_n, lo_d, hi_n, hi_d, keyed) answering
-    xd_minimal(x, x), for an x that already passed its caller's guard.
-
-    classify, predecessor and limit_sequence read the stored entry here,
-    so they neither build a MinimalSet nor strip its keys.
-    """
+    """The table entry answering xd_minimal(x, x), for an x that already
+    passed its caller's guard; no MinimalSet is built."""
     return _minimal(hier, _budget_table(hier, x), x._numerator, x._denominator)
 
 
+def _tuples_at_lo(entry, expanded: dict) -> tuple[Keyed, ...]:
+    """The entry's keyed tuples at lo, in order, from its at-lo visits (see
+    the module docstring); expanded, {} at first, caches inner entries' by id."""
+    buckets: dict[int, list[Keyed]] = {}
+    for yk, inner in zip(entry[5][::2], entry[5][1::2]):
+        if id(inner) not in expanded:  # an empty inner set stands for ()
+            expanded[id(inner)] = _tuples_at_lo(inner, expanded) if inner[4] else ((),)
+        for K in expanded[id(inner)]:
+            i = bisect_left(K, yk)
+            buckets.setdefault(len(K) + 1, []).append(K[:i] + (yk,) + K[i:])
+    return _ordered(buckets)
+
+
 def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
-    """The entry (lo_n, lo_d, hi_n, hi_d, keyed) answering budget dn/dd."""
+    """The entry (lo_n, lo_d, hi_n, hi_d, keyed, at_lo) answering budget dn/dd."""
     x, delta = table.x, table.delta
     if dn < 0 or dn * x._denominator > x._numerator * dd:
         raise ConsistencyError(f"budget {dn}/{dd} left [0, {x}]")
     en, ed = delta._numerator, delta._denominator
     if dn * ed < en * dd:
-        return 0, 1, en, ed, ()  # d < delta: no component fits
+        return table.empty  # d < delta: no component fits
     entry = table.lookup(dn, dd)
     if entry is None:
         entry = _walk(hier, table, dn, dd)
@@ -410,34 +427,34 @@ def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
 
 
 def _walk(hier, table: _BudgetTable, dn: int, dd: int):
-    """The walk of xd_minimal at d = dn/dd >= delta: (lo_n, lo_d, hi_n, hi_d, keyed)."""
-    from .hierarchy import Classification  # import cycle: hierarchy imports this module
-
-    classify, predecessor, key = hier.classify, hier.predecessor, hier._key
-    MAXIMAL, SUCCESSOR = Classification.MAXIMAL, Classification.SUCCESSOR
+    """The walk of xd_minimal at d = dn/dd >= delta: the entry
+    (lo_n, lo_d, hi_n, hi_d, keyed, at_lo). It steps through member
+    records (Hierarchy._record): a successor links its predecessor's."""
     x = table.x
     xn, xd = x._numerator, x._denominator
     en, ed = table.delta._numerator, table.delta._denominator
     buckets: dict[int, list[Keyed]] = {}  # length -> keyed tuples of that length
+    at_lo = []  # key of y, inner entry: for each visit whose total is lo
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 0  # +infinity until the first threshold
 
-    def lower_hi(tn, td):
-        nonlocal hi_n, hi_d
-        if tn * hi_d < hi_n * td:
-            hi_n, hi_d = tn, td
-
     def lower_hi_by(tn, td, m):
-        """Lower hi to t + c(x, m) for the member m below a chosen component."""
+        """Lower hi to t + c(x, m), for a member m below a chosen component or p0'."""
+        nonlocal hi_n, hi_d
         if m is not None:
             mn, md = m._numerator, m._denominator
             cd = xd * mn
-            lower_hi(tn * cd + (xn * (md + mn) - cd) * td, td * cd)
+            tn, td = tn * cd + (xn * (md + mn) - cd) * td, td * cd
+            if tn * hi_d < hi_n * td:
+                hi_n, hi_d = tn, td
 
     y, below = _smallest_with_contribution_at_most(hier, table, dn, dd)
     lower_hi_by(0, 1, below)  # (a)
+    rec = hier._record(y)
     prev_n, prev_d = 0, 1  # the last visited component; none yet, and y > 0
     while True:
+        yk = rec.key
+        y = yk[1]
         # c(x, y) = x/y + x - 1 = cn/cd with cd > 0
         yn, yd = y._numerator, y._denominator
         cd = xd * yn
@@ -448,9 +465,10 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             raise ConsistencyError("component walk failed to advance")
         if cn * ed < en * cd:  # c < delta, so d - c > d - delta
             raise ConsistencyError("recursive budget must drop by at least delta")
-        rn, rd = _reduced(dn * cd - cn * dd, dd * cd)
-        iln, ild, ihn, ihd, inner = _minimal(hier, table, rn, rd)
-        yk = key(y)
+        rn, rd = dn * cd - cn * dd, dd * cd
+        g = gcd(rn, rd)
+        rn, rd = rn // g, rd // g
+        iln, ild, ihn, ihd, inner, _ = entry = _minimal(hier, table, rn, rd)
         if not inner:
             buckets.setdefault(1, []).append((yk,))
         n = 0  # inner is in length order: one bucket per run of a length
@@ -469,15 +487,20 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
                 append(K[:i] + (yk,) + K[i:])
         # the largest total through y: c(x, y) + lo(inner)
         tn, td = cn * ild + iln * cd, cd * ild
-        if tn * lo_d > lo_n * td:
-            lo_n, lo_d = tn, td
-        lower_hi(cn * ihd + ihn * cd, cd * ihd)  # (b)
-        cls = classify(y)
+        gap = tn * lo_d - lo_n * td
+        if gap > 0:
+            lo_n, lo_d, at_lo = tn, td, []
+        if gap >= 0:
+            at_lo += yk, entry
+        tn, td = cn * ihd + ihn * cd, cd * ihd  # (b)
+        if tn * hi_d < hi_n * td:
+            hi_n, hi_d = tn, td
+        cls = rec.cls or hier._classified(rec)
         prev_n, prev_d = yn, yd
         if cls is MAXIMAL:
             break
         if cls is SUCCESSOR:
-            y = predecessor(y)
+            rec = rec.pred or hier._lowered(rec)
         else:
             t = _next_total(hier, table, inner, rn, rd)
             # unreachable: p0' after inner's largest-total tuple gives lo(inner) + delta >= hi(inner) > r
@@ -486,12 +509,14 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             tn, td = t
             bn, bd = dn * td - tn * dd, dd * td  # d - t
             if bn * ed < en * bd:  # no member fits beside t
-                lower_hi(tn * ed + en * td, td * ed)  # (c)
+                lower_hi_by(tn, td, table.p0_prime)  # (c): t + delta
                 break
             y, below = _smallest_with_contribution_at_most(hier, table, bn, bd)
             lower_hi_by(tn, td, below)  # (c)
+            rec = hier._record(y)
 
-    return (*_reduced(lo_n, lo_d), *_reduced(hi_n, hi_d), _ordered(buckets))
+    g, h = gcd(lo_n, lo_d), gcd(hi_n, hi_d)
+    return lo_n // g, lo_d // g, hi_n // h, hi_d // h, _ordered(buckets), tuple(at_lo)
 
 
 def prune_dominated(tuples) -> tuple[Components, ...]:

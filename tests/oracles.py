@@ -31,6 +31,13 @@ def contribution_reference(x: Fraction, p: Fraction) -> Fraction:
     return x / p + x - ONE
 
 
+def generates(T, x: Fraction) -> bool:
+    """Whether the member tuple T pools to x exactly: its k reciprocals
+    sum to k/x - (k - 1)."""
+    k = len(T)
+    return sum((ONE / p for p in T), start=F(0)) == k / x - (k - 1)
+
+
 def base_members(n_max: int) -> list[Fraction]:
     """Ascending members of the base segment: 1/2, the n/(2n-1) ladder, 1."""
     return [HALF] + [F(n, 2 * n - 1) for n in range(n_max, 1, -1)] + [ONE]

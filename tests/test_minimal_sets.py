@@ -18,10 +18,17 @@ from pfinhier import (
     prune_dominated,
 )
 from pfinhier import minimal_sets, parse_rational
-from pfinhier.minimal_sets import _BudgetTable, _budget_table, _ordered, _stripped, _xx_entry
+from pfinhier.minimal_sets import (
+    _BudgetTable,
+    _budget_table,
+    _ordered,
+    _stripped,
+    _tuples_at_lo,
+    _xx_entry,
+)
 
 from freeze_golden import GOLDEN
-from oracles import base_members, dominated_by_some, sample_allowed_tuples
+from oracles import base_members, dominated_by_some, generates, sample_allowed_tuples
 from test_hierarchy import LOW_GRID
 
 CHAIN = [F(12, 25), F(8, 17), F(20, 43), F(6, 13)]
@@ -171,7 +178,7 @@ def test_interval_reuse_matches_fresh_walks(x):
     # stores a tuple totalling hi, so hi is achievable.
     entries = _budget_table(warm, x).entries
     assert entries
-    for lo_n, lo_d, hi_n, hi_d, keyed in entries:
+    for lo_n, lo_d, hi_n, hi_d, keyed, _ in entries:
         lo, hi = F(lo_n, lo_d), F(hi_n, hi_d)
         tuples = _stripped(keyed)
         probes = [lo, (lo + hi) / 2, hi - (hi - lo) / 1024]
@@ -223,7 +230,11 @@ def test_keyed_tuples_order_exactly_on_float_ties():
     third, below, above = F(1, 3), F(10**17, 3 * 10**17 + 1), F(10**17 + 1, 3 * 10**17 + 1)
     assert below < third < above
     assert float(below) == float(third) == float(above)
-    key = Hierarchy(floor_level=4)._key
+    h = Hierarchy(floor_level=4)
+
+    def key(m):
+        return h._record(m).key
+
     assert key(F(2, 6)) is key(third)
     pool = [below, third, above, F(1, 2), F(2, 3)]
     rng = random.Random(20261018)
@@ -250,8 +261,8 @@ def test_budget_table_steps_back_past_float_ties():
     third, beside = F(1, 3), F(1, 3) + F(1, 10**30)
     assert float(third) == float(beside)
     bn, bd = beside.numerator, beside.denominator
-    low = (1, 3, bn, bd, ((0.5, F(1, 2)),))
-    high = (bn, bd, 1, 2, ((2 / 3, F(2, 3)),))
+    low = (1, 3, bn, bd, ((0.5, F(1, 2)),), ())
+    high = (bn, bd, 1, 2, ((2 / 3, F(2, 3)),), ())
     table = _BudgetTable(F(1, 2), F(1, 2), F(1), F(1, 2))  # record and lookup read entries only
     # the later entry first, so recording the earlier one steps back too
     table.record(bn, bd, high)
@@ -261,9 +272,8 @@ def test_budget_table_steps_back_past_float_ties():
     assert table.lookup(bn, bd) is high
 
 
-def test_budget_table_entries_hold_exact_keys(monkeypatch):
-    # every table a cold classify(7/17) fills stores its tuples as exact,
-    # interned sort keys, distinct and in canonical order
+def cold_tables(monkeypatch, x):
+    """A fresh Hierarchy after classify(x), and the budget tables it filled."""
     tables = {}
     real_walk = minimal_sets._walk
 
@@ -273,17 +283,42 @@ def test_budget_table_entries_hold_exact_keys(monkeypatch):
 
     monkeypatch.setattr(minimal_sets, "_walk", recorded)
     h = Hierarchy(floor_level=4)
-    h.classify(F(7, 17))
-    entries = [entry for table in tables.values() for entry in table.entries]
+    h.classify(x)
+    monkeypatch.undo()
+    return h, list(tables.values())
+
+
+def test_budget_table_entries_hold_exact_keys(monkeypatch):
+    # every table a cold classify(7/17) fills stores its tuples as exact,
+    # interned sort keys, distinct and in canonical order
+    h, tables = cold_tables(monkeypatch, F(7, 17))
+    entries = [entry for table in tables for entry in table.entries]
     assert len(entries) == 573
-    for *_, keyed in entries:
+    for *_, keyed, _ in entries:
         for K in keyed:
             assert all(a[1] <= b[1] for a, b in zip(K, K[1:])), K
             for k in K:
                 m = k[1]
-                assert k[0] == m.numerator / m.denominator and k is h._key(m)
+                assert k[0] == m.numerator / m.denominator and k is h._record(m).key
         canonical = [(len(T), T) for T in _stripped(keyed)]
         assert all(a < b for a, b in zip(canonical, canonical[1:])), keyed
+
+
+@pytest.mark.parametrize("x, count", [(F(7, 17), 573), (F(12, 25), 3)], ids=str)
+def test_entries_carry_their_tuples_at_lo(monkeypatch, x, count):
+    # every entry a cold classify fills expands its at-lo visits to exactly
+    # its stored tuples whose contribution total is lo, in its order; at
+    # the (x, x) entry, whose lo is x, to the generators of x
+    h, tables = cold_tables(monkeypatch, x)
+    entries = [(table.x, entry) for table in tables for entry in table.entries]
+    assert len(entries) == count
+    for t, entry in entries:
+        lo = F(entry[0], entry[1])
+        at_lo = tuple(K for K in entry[4] if sum(contribution(t, p) for _, p in K) == lo)
+        assert at_lo and _tuples_at_lo(entry, {}) == at_lo, (t, lo)
+    xx = _xx_entry(h, x)
+    generators = tuple(K for K in xx[4] if generates(_stripped((K,))[0], x))
+    assert generators and _tuples_at_lo(xx, {}) == generators
 
 
 def test_xx_entry_matches_public_sets(hier):
@@ -299,7 +334,7 @@ def test_xx_entry_matches_public_sets(hier):
     for x in points:
         expected = hier.xd_minimal(x, x)
         for h in (Hierarchy(floor_level=4), hier):
-            lo_n, lo_d, hi_n, hi_d, keyed = _xx_entry(h, x)
+            lo_n, lo_d, hi_n, hi_d, keyed, _ = _xx_entry(h, x)
             P = h.xd_minimal(x, x)
             assert (_stripped(keyed), F(lo_n, lo_d), F(hi_n, hi_d)) == (P.tuples, P.lo, P.hi), x
             assert (P.tuples, P.lo, P.hi) == (expected.tuples, expected.lo, expected.hi), x
