@@ -435,23 +435,24 @@ class Hierarchy:
         limit sequences, never past p; ascending chains of members are
         finite, so the climb ends.
         """
-        below = p.__gt__ if strict else p.__ge__
+        pk = ascending_key(p)  # members compare by their keys: floats first
+        below = pk.__gt__ if strict else pk.__ge__
         rec = self._record(ExactRational(1, p.denominator // p.numerator + 1))
         self._check(rec.key[1])  # under the floor when p is the floor edge
         while True:
             cur = rec.key[1]
-            if cur == p:
+            if rec.key == pk:
                 return cur, cur
             cls = self._classified(rec)
             if cls is Classification.SUCCESSOR:
                 nxt = self._lowered(rec)
-                if not below(nxt.key[1]):
+                if not below(nxt.key):
                     return cur, nxt.key[1]
                 rec = nxt
             elif cls is Classification.LIMIT:
                 seq = self.limit_sequence(cur)
                 k = 0
-                while not below(seq.term(k)):
+                while not below(self._record(seq.term(k)).key):
                     k += 1
                 rec = self._record(seq.term(k))
             else:

@@ -262,7 +262,8 @@ def _smallest_with_contribution_at_most(hier, table: _BudgetTable, bn: int, bd: 
     below, y = hier.bracket(ExactRational(tn, a))
     if below == y:  # the threshold is a member
         below = hier.next_below(y)
-    return y, (below if below >= floor else None)
+    fits = below._numerator * floor._denominator >= floor._numerator * below._denominator
+    return y, (below if fits else None)
 
 
 def find_smallest(hier, P: MinimalSet):
@@ -465,9 +466,7 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             raise ConsistencyError("component walk failed to advance")
         if cn * ed < en * cd:  # c < delta, so d - c > d - delta
             raise ConsistencyError("recursive budget must drop by at least delta")
-        rn, rd = dn * cd - cn * dd, dd * cd
-        g = gcd(rn, rd)
-        rn, rd = rn // g, rd // g
+        rn, rd = dn * cd - cn * dd, dd * cd  # d - c, unreduced: gcd costs more than it saves
         iln, ild, ihn, ihd, inner, _ = entry = _minimal(hier, table, rn, rd)
         if not inner:
             buckets.setdefault(1, []).append((yk,))
