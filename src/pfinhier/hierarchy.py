@@ -323,15 +323,15 @@ class Hierarchy:
         a float, and the larger of two tied members is not the next above
         x, so each run of equal floats is sorted exactly first.
         """
-        cls = self.classify(x)
-        if cls is not Classification.SUCCESSOR:
+        self._check(x)
+        rec = self._members.get((x._numerator, x._denominator)) or self._record(x)  # hits: no call
+        if rec.pred is None and self._classified(rec) is not Classification.SUCCESSOR:
             kind = {
                 Classification.MAXIMAL: "the maximal element",
                 Classification.LIMIT: "a limit element",
                 Classification.NOT_MEMBER: "not a member",
-            }[cls]
+            }[rec.cls]
             raise DomainError(f"no predecessor: {x} is {kind}")
-        rec = self._members[x._numerator, x._denominator]  # classify made it
         return (rec.pred or self._lowered(rec)).key[1]
 
     def _lowered(self, rec: _Record) -> _Record:

@@ -39,7 +39,7 @@ def ascending_key(value: ExactRational):
     float(a) <= float(b); only values whose floats tie are compared as
     Fractions.
     """
-    return value.numerator / value.denominator, value
+    return value._numerator / value._denominator, value
 
 
 def parse_rational(text: str) -> ExactRational:
