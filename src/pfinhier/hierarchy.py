@@ -177,6 +177,10 @@ class Hierarchy:
         """This hierarchy's one object for the member value."""
         return self._record(value).key[1]
 
+    def _member_of(self, n: int, d: int) -> ExactRational:
+        """The member n/d, in lowest terms; a Fraction is built only for a new one."""
+        return (self._members.get((n, d)) or self._record(ExactRational(n, d))).key[1]
+
     # ---- guards ----
 
     def _check(self, x: ExactRational):
@@ -314,8 +318,8 @@ class Hierarchy:
 
         Every component of a generator of x is itself a successor: classify
         answers SUCCESSOR only when no generator has a limit component, and
-        c(x, 1) = 2x - 1 < 0 keeps 1 out. _lower_of lowers each through its
-        record, which raises ConsistencyError should one not be a successor.
+        c(x, 1) = 2x - 1 < 0 keeps 1 out. The search lowers each through its
+        record (_lowered), which raises ConsistencyError should one not be.
 
         _candidates reads the keyed tuples of the stored (x, x) entry and
         gets each value in O(1) from its tuple's integer reciprocal sum. It
@@ -345,16 +349,12 @@ class Hierarchy:
     def _predecessor(self, x: ExactRational) -> _Record:
         n = x._numerator
         if 2 * n > x._denominator:  # x > 1/2
-            return self._record(ExactRational(n - 1, 2 * (n - 1) - 1))
+            return self._record(self._member_of(n - 1, 2 * n - 3))
         keyed = minimal_sets._xx_entry(self, x)[4]
-        for value in _candidates(keyed, x, self._lower_of):
+        for value in _candidates(keyed, x, lambda p: self._lowered(self._record(p)).key[1]):
             if self.classify(value) is not Classification.NOT_MEMBER:
                 return self._record(value)
         raise ConsistencyError(f"no member candidate above successor {x}")
-
-    def _lower_of(self, p: ExactRational) -> ExactRational:
-        """The predecessor of the generator component p (see predecessor)."""
-        return self._lowered(self._record(p)).key[1]
 
     # ---- limit sequences ----
 
@@ -363,7 +363,7 @@ class Hierarchy:
         if self.classify(x) is not Classification.LIMIT:
             raise DomainError(f"limit sequences exist for limit elements only, got {x}")
         if x == HALF:
-            return LimitSequence(lambda k: self._member(ExactRational(k + 1, 2 * k + 1)))
+            return LimitSequence(lambda k: self._member_of(k + 1, 2 * k + 1))
         t = h_inverse(x)
         t_cls = self.classify(t)
         if t_cls is Classification.LIMIT:
@@ -422,10 +422,10 @@ class Hierarchy:
             return p, p
         if 2 * pn > pd:  # p > 1/2
             n_star = pn // (2 * pn - pd)  # floor(p / (2p - 1))
-            f2 = self._member(ExactRational(n_star, 2 * n_star - 1))
+            f2 = self._member_of(n_star, 2 * n_star - 1)
             if pd == 2 * pn - 1:  # p is n_star/(2*n_star - 1) itself
                 return f2, f2
-            return self._member(ExactRational(n_star + 1, 2 * n_star + 1)), f2
+            return self._member_of(n_star + 1, 2 * n_star + 1), f2
         return self._climb(p, strict=False)
 
     def _climb(self, p: ExactRational, strict: bool):
@@ -466,7 +466,7 @@ class Hierarchy:
             raise DomainError(f"next_below needs a member, got {u}")
         n = u._numerator
         if 2 * n > u._denominator:  # u > 1/2
-            return self._member(ExactRational(n + 1, 2 * n + 1))
+            return self._member_of(n + 1, 2 * n + 1)
         lo, hi = self._climb(u, strict=True)
         if hi != u:
             raise ConsistencyError(f"the member above next_below({u}) = {lo} is {hi}")

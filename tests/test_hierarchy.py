@@ -140,12 +140,18 @@ def test_walk_reads_member_records_unguarded(monkeypatch):
     h = Hierarchy(floor_level=4)
     assert h.classify(F(7, 17)) is Classification.LIMIT
     askers = {asker for asker, _, _ in guarded}
-    assert not askers & {"_walk", "_climb", "_lower_of", "_lowered", "_classified"}, askers
+    assert not askers & {"_walk", "_climb", "<lambda>", "_lowered", "_classified"}, askers
     assert max(worked.values()) == 1
     assert worked[("_predecessor", F(42, 95))] == 1  # some predecessor was walked
     # what remains: the entry point, classify's own recursion and
     # bracket, segment and candidate checks, a tenth of the lookups before
     assert 0 < sum(guarded.values()) < (6_269 + 5_218) // 10, sum(guarded.values())
+
+
+def lowering(hier):
+    """The search's lower_of, as predecessor passes it: each component's
+    predecessor through its record."""
+    return lambda p: hier._lowered(hier._record(p)).key[1]
 
 
 def keyed(hier, T):
@@ -175,7 +181,7 @@ def test_candidates_drain_to_own_values_and_generator_swaps(hier):
     for x in (F(12, 25), F(48, 115)):
         own, swaps = own_values_and_generator_swaps(hier, x)
         stored = [keyed(hier, T) for T in hier.xd_minimal(x, x).tuples]
-        drained = list(_candidates(stored, x, hier._lower_of))
+        drained = list(_candidates(stored, x, lowering(hier)))
         assert drained == sorted(drained), x
         assert Counter(drained) == own + swaps, x
         kinds.update(own=own.total(), swap=swaps.total())
@@ -189,10 +195,11 @@ def test_candidates_lower_only_generator_components(hier, monkeypatch):
     real = hierarchy._swaps
     monkeypatch.setattr(hierarchy, "_swaps", lambda T, *rest: swapped.append(T) or real(T, *rest))
     lowered = []
+    lower_of = lowering(hier)
 
     def recorded(p):
         lowered.append(p)
-        return hier._lower_of(p)
+        return lower_of(p)
 
     for x in (F(12, 25), F(48, 115)):
         tuples = hier.xd_minimal(x, x).tuples
@@ -211,7 +218,7 @@ def test_a_generator_swap_decides_alone(hier):
     x = F(12, 25)
     generator = (F(3, 5), F(2, 3))
     assert apply_rule(generator) == x
-    candidates = _candidates([keyed(hier, generator)], x, hier._lower_of)
+    candidates = _candidates([keyed(hier, generator)], x, lowering(hier))
     members = [v for v in candidates if hier.is_member(v)]
     assert members[:1] == [F(1, 2)] == [hier.predecessor(x)]
 
@@ -226,7 +233,7 @@ def test_a_generator_limit_component_is_a_bug(hier):
     assert apply_rule(generator) == x
     assert hier.classify(F(1, 2)) is Classification.LIMIT
     with pytest.raises(ConsistencyError):
-        list(_candidates([keyed(hier, generator)], x, hier._lower_of))
+        list(_candidates([keyed(hier, generator)], x, lowering(hier)))
 
 
 def test_predecessor_is_an_own_value_or_a_generator_swap(hier):
