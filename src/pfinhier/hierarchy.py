@@ -26,17 +26,16 @@ Its intern table, keyed on (numerator, denominator), holds one record
 per value: its sort key (float, value), built once, and, once worked
 out, its classification and its predecessor's record, where classify
 and predecessor memoize. Equal members handed out are one object, and
-the walk steps from a successor to its predecessor by one link and
-stores tuples of these keys, which compare floats first and settle
-equal members on identity. Two hierarchies share no table.
-Queries below the configured floor level raise FloorError instead of
-recursing without bound.
+the walk steps from a successor to its predecessor by one link. The
+tables build their tuples, when read, from these keys, which compare
+floats first and settle equal members on identity. Two hierarchies
+share no table. Queries below the configured floor level raise
+FloorError instead of recursing without bound.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from heapq import heapify, heappop
 
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
@@ -112,38 +111,33 @@ def _swaps(T, sn, sd, lower_of):
         yield k * d, (k - 1) * d + n
 
 
-def _candidates(keyed, x: ExactRational, lower_of):
-    """The candidates above x from the stored keyed tuples of
-    xd_minimal(x, x), in exact ascending order (see predecessor): the own
-    value of each tuple that does not generate x, and the swaps of each
-    tuple that does.
+def _least_own_and_swaps(x: ExactRational, below: dict, generators, lower_of):
+    """The candidates above x from the stored (x, x) entry (see
+    predecessor): the least own value among the tuples that do not
+    generate x, or None when every tuple does, and the swaps of the
+    generators that lie below it, in exact ascending order.
 
-    Heap entries are (float, num, den) for the value num/den; each tuple's
-    reciprocals are summed once, in integers, and only a generator's
-    components are lowered.
+    below holds a triple (k, sn, sd) for each length k among the
+    non-generators: sn/sd is their largest reciprocal sum, so their least
+    own value is k*sd / ((k - 1)*sd + sn). generators are the keyed tuples
+    that do generate x. Only the generators' components are lowered.
     """
     xn, xd = x._numerator, x._denominator
-    heap = []
-    for T in keyed:
-        k = len(T)
-        sn, sd = reciprocal_sum(T)
+    vn, vd = 1, 0  # +infinity until the first length
+    for k, sn, sd in below:
         num, den = k * sd, (k - 1) * sd + sn
-        if num * xd > xn * den:
-            heap.append((num / den, num, den))
-        elif num * xd == xn * den:
-            heap.extend((num / den, num, den) for num, den in _swaps(T, sn, sd, lower_of))
-        else:
-            raise ConsistencyError(f"a stored tuple of {x} pools below it")
-    heapify(heap)
-    while heap:
-        # equal floats may hide distinct values: order each run exactly
-        f = heap[0][0]
-        tied = []
-        while heap and heap[0][0] == f:
-            _, num, den = heappop(heap)
-            tied.append(ExactRational(num, den))
-        tied.sort()
-        yield from tied
+        if num * vd < vn * den:
+            vn, vd = num, den
+    if vd and vn * xd <= xn * vd:
+        raise ConsistencyError(f"a stored non-generator of {x} pools at or below it")
+    swaps = []
+    for T in generators:
+        sn, sd = reciprocal_sum(T)
+        for num, den in _swaps(T, sn, sd, lower_of):
+            if num * vd < vn * den:
+                swaps.append(ExactRational(num, den))
+    swaps.sort()
+    return (ExactRational(vn, vd) if vd else None), swaps
 
 
 class _Record:
@@ -316,16 +310,29 @@ class Hierarchy:
            (a limit has no member immediately above it) and T_u's is its
            predecessor. So u is a swap of the generator S.
 
+        5. The argument of 3 needs only components in [r_hi, p], and every
+           stored tuple has them: r_hi is the floor, and each component q
+           has c(x, q) > 0, so q < t and q <= p. So every stored tuple is a
+           valid application and its own value is a member; in particular
+           the least own value v among the tuples that do not generate x.
+           So u is the least member among the generator swaps below v, or
+           v itself when none is.
+
         Every component of a generator of x is itself a successor: classify
         answers SUCCESSOR only when no generator has a limit component, and
         c(x, 1) = 2x - 1 < 0 keeps 1 out. The search lowers each through its
         record (_lowered), which raises ConsistencyError should one not be.
 
-        _candidates reads the keyed tuples of the stored (x, x) entry and
-        gets each value in O(1) from its tuple's integer reciprocal sum. It
-        yields them from a heap keyed on floats; distinct values can share
-        a float, and the larger of two tied members is not the next above
-        x, so each run of equal floats is sorted exactly first.
+        The search sums no stored tuple. A tuple of k components whose
+        reciprocals sum to S pools to k/(k - 1 + S), which falls as S
+        rises, so v is the least over k of k/(k - 1 + S_k), S_k the largest
+        reciprocal sum of a length-k tuple that does not generate x. The
+        stored entry keeps the largest sum of each length, and
+        minimal_sets._best_below_lo finds S_k along the visits at lo; the
+        generators come from minimal_sets._tuples_at_lo, and
+        _least_own_and_swaps orders their swaps below v exactly. v is
+        checked like any candidate: ConsistencyError if it does not lie
+        above x or is no member.
         """
         self._check(x)
         rec = self._members.get((x._numerator, x._denominator)) or self._record(x)  # hits: no call
@@ -350,11 +357,18 @@ class Hierarchy:
         n = x._numerator
         if 2 * n > x._denominator:  # x > 1/2
             return self._record(self._member_of(n - 1, 2 * n - 3))
-        keyed = minimal_sets._xx_entry(self, x)[4]
-        for value in _candidates(keyed, x, lambda p: self._lowered(self._record(p)).key[1]):
+        entry = minimal_sets._xx_entry(self, x)
+        own, swaps = _least_own_and_swaps(
+            x, minimal_sets._best_below_lo(entry, {}), minimal_sets._tuples_at_lo(entry, {}),
+            lambda p: self._lowered(self._record(p)).key[1])
+        for value in swaps:
             if self.classify(value) is not Classification.NOT_MEMBER:
                 return self._record(value)
-        raise ConsistencyError(f"no member candidate above successor {x}")
+        if own is None:
+            raise ConsistencyError(f"no member candidate above successor {x}")
+        if self.classify(own) is Classification.NOT_MEMBER:
+            raise ConsistencyError(f"the least own value above successor {x}, {own}, is no member")
+        return self._record(own)
 
     # ---- limit sequences ----
 

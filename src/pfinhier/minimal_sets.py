@@ -27,21 +27,30 @@ and compares by cross-multiplication. Only the builder of public sets and
 find_smallest build Fractions, for their answers. Budgets below delta
 admit no tuple and return the empty set before any table lookup.
 
-Inside the table and the walk a tuple is stored as its exact sort key:
-the tuple of its members' keys (float, member), each built once by the
-handle's intern table (Hierarchy._record). The walk inserts a component
-into an ascending keyed tuple by bisection, collects the extended tuples
-in one bucket per length, and orders a set by sorting each bucket with
-a plain sort, which compares floats and falls back to the exact members
-only when two floats tie, then dropping adjacent repeats (_ordered).
+Inside the table a tuple is stored as its exact sort key: the tuple of
+its members' keys (float, member), each built once by the handle's
+intern table (Hierarchy._record); only public sets strip the keys.
 
-Only public sets strip the keys; classify, predecessor and
-limit_sequence read the stored (x, x) entry (_xx_entry). Each entry
-carries its at-lo visits: the visits y, with inner entries, where
-c(x, y) + lo(inner) is its lo. A tuple sits at lo exactly when it extends
-an inner tuple at lo(inner) through such a visit, so _tuples_at_lo
-expands the tuples at lo (at an (x, x) entry with lo = x, the generators
-of x) without summing a tuple.
+The walk builds no tuples. Each entry keeps its visits: for each visited
+y, the key of y and the inner entry whose tuples y extends. It also
+keeps best, the largest reciprocal sum among its tuples of each length,
+folded from the inner entries' best at each visit, and its at-lo visits,
+those where c(x, y) + lo(inner) is its lo. The keyed tuples are built
+from the visits the first time something reads them (_keyed), and then
+kept: a limit jump, a public set, and the consistency check of an entry
+walked twice. Building inserts y into each inner keyed tuple by
+bisection, collects the extended tuples in one bucket per length, and
+orders them by sorting each bucket with a plain sort, which compares
+floats and falls back to the exact members only when two floats tie,
+then dropping adjacent repeats (_ordered).
+
+classify, predecessor and limit_sequence read the stored (x, x) entry
+(_xx_entry) without building its tuples. A tuple sits at lo exactly
+when it extends an inner tuple at lo(inner) through an at-lo visit, so
+_tuples_at_lo expands the tuples at lo (at an (x, x) entry with lo = x,
+the generators of x), and _best_below_lo follows the at-lo visits to
+the largest reciprocal sum of each length below lo, neither summing a
+tuple.
 """
 
 from __future__ import annotations
@@ -162,22 +171,31 @@ def _ordered(buckets: dict[int, list[Keyed]]) -> tuple[Keyed, ...]:
 class _BudgetTable:
     """What every budget of one x shares, and the sets found so far.
 
-    entries ascend by lo and hold (lo_n, lo_d, hi_n, hi_d, keyed, at_lo):
-    the set for every budget in [lo, hi), both ends as reduced integer
-    pairs. keyed holds the set's tuples as their sort keys only (see the
-    module docstring), distinct and in (length, components) order, and
-    at_lo the walk's at-lo visits flat, as key of y, inner entry, and so
-    on. The intervals are disjoint; every budget below delta shares the
-    entry empty. lows[i] is the float of entries[i]'s lo, for bisection.
+    entries ascend by lo and each is the list
+    [lo_n, lo_d, hi_n, hi_d, visits, at_lo, best, keyed]: the set for
+    every budget in [lo, hi), both ends as reduced integer pairs. visits
+    holds the walk's visits flat, as key of y, inner entry, and so on, and
+    at_lo those of them whose total is lo, in the same form. best holds a
+    triple (k, num, den) for each length k among the set's tuples:
+    num/den, an unreduced integer pair, is the largest reciprocal sum
+    among its tuples of length k. keyed is None until _keyed builds
+    the set's tuples from the visits (see the module docstring): as their
+    sort keys only, distinct and in (length, components) order.
+
+    The intervals are disjoint; every budget below delta shares the entry
+    empty, which has no tuples and no visits: it stands for the empty
+    tuple when a visit extends it, so its best ((0, 0, 1),) is the sum of
+    that one tuple of length 0. lows[i] is the float of
+    entries[i]'s lo, for bisection.
     """
 
     __slots__ = ("x", "floor", "p0_prime", "delta", "empty", "lows", "entries")
 
     def __init__(self, x, floor, p0_prime: ExactRational, delta: ExactRational):
         self.x, self.floor, self.p0_prime, self.delta = x, floor, p0_prime, delta
-        self.empty = 0, 1, delta._numerator, delta._denominator, (), ()
+        self.empty = [0, 1, delta._numerator, delta._denominator, (), (), ((0, 0, 1),), ()]
         self.lows: list[float] = []
-        self.entries: list[tuple] = []
+        self.entries: list[list] = []
 
     def _last_at_or_below(self, vn: int, vd: int) -> int:
         """Index of the last entry whose lo is <= vn/vd, or -1."""
@@ -201,8 +219,9 @@ class _BudgetTable:
 
     def record(self, dn: int, dd: int, entry) -> None:
         """Store the entry walked at dn/dd, whose interval must hold it and
-        meet no stored one."""
-        lo_n, lo_d, hi_n, hi_d, keyed, _ = entry
+        meet no stored one. Only two entries walked at one lo have their
+        tuples built, to compare them."""
+        lo_n, lo_d, hi_n, hi_d, *_ = entry
         if lo_n * dd > dn * lo_d or dn * hi_d >= hi_n * dd:
             raise ConsistencyError(
                 f"budget {dn}/{dd} lies outside its walked interval [{lo_n}/{lo_d}, {hi_n}/{hi_d})"
@@ -211,7 +230,7 @@ class _BudgetTable:
         i = self._last_at_or_below(lo_n, lo_d)
         if i >= 0:
             prev = entries[i]
-            if prev[0] * lo_d == lo_n * prev[1] and prev[4] != keyed:
+            if prev[0] * lo_d == lo_n * prev[1] and _keyed(prev) != _keyed(entry):
                 raise ConsistencyError(f"budgets walked at lo {lo_n}/{lo_d} differ in their sets")
             if prev[2] * lo_d > lo_n * prev[3]:
                 raise ConsistencyError(f"the interval walked at {dn}/{dd} meets a stored one")
@@ -385,10 +404,11 @@ def _build_set(hier, x: ExactRational, d: ExactRational) -> MinimalSet:
     if dn < 0 or dn * x.denominator > x.numerator * dd:
         raise InputError(f"budget d must lie in [0, x]: d={d}, x={x}")
     table = _budget_table(hier, x)
-    lo_n, lo_d, hi_n, hi_d, keyed, _ = _minimal(hier, table, dn, dd)
+    entry = _minimal(hier, table, dn, dd)
+    lo_n, lo_d, hi_n, hi_d, *_ = entry
     return MinimalSet(
         x=x, d=d, floor=table.floor, delta=table.delta, p0_prime=table.p0_prime,
-        tuples=_stripped(keyed),
+        tuples=_stripped(_keyed(entry)),
         lo=ExactRational(lo_n, lo_d), hi=ExactRational(hi_n, hi_d),
     )
 
@@ -412,8 +432,73 @@ def _tuples_at_lo(entry, expanded: dict) -> tuple[Keyed, ...]:
     return _ordered(buckets)
 
 
+def _fold(best: dict, inner_best, y: ExactRational) -> None:
+    """Raise best, which maps a length to a (length, num, den) triple, to
+    the triples of inner_best with 1/y added, each one length longer."""
+    yn, yd = y._numerator, y._denominator
+    for k, sn, sd in inner_best:
+        n, d = sn * yn + sd * yd, sd * yn
+        k += 1
+        b = best.get(k)
+        if b is None or n * b[2] > b[1] * d:
+            best[k] = k, n, d
+
+
+def _best_below_lo(entry, below: dict) -> tuple:
+    """For each length k, the largest reciprocal sum among the entry's
+    tuples of length k whose total is below lo, as triples like best's;
+    below, {} at first, caches inner entries' by id.
+
+    A tuple lies below lo exactly when it extends a tuple below lo(inner)
+    through an at-lo visit, or any inner tuple through another visit; so
+    only the at-lo visits recurse, and the others read their inner best.
+    The empty entry's one stand-in tuple () sits at its lo, 0.
+    """
+    at_lo = {id(yk) for yk in entry[5][::2]}
+    best: dict = {}
+    visits = entry[4]
+    for yk, inner in zip(visits[::2], visits[1::2]):
+        if id(yk) in at_lo:
+            if id(inner) not in below:
+                below[id(inner)] = _best_below_lo(inner, below)
+            _fold(best, below[id(inner)], yk[1])
+        else:
+            _fold(best, inner[6], yk[1])
+    return tuple(best.values())
+
+
+def _keyed(entry) -> tuple[Keyed, ...]:
+    """The entry's keyed tuples: built from its visits on the first read,
+    then kept in the entry (see the module docstring)."""
+    keyed = entry[7]
+    if keyed is not None:
+        return keyed
+    buckets: dict[int, list[Keyed]] = {}  # length -> keyed tuples of that length
+    visits = entry[4]
+    for yk, inner in zip(visits[::2], visits[1::2]):
+        if not inner[4]:  # the empty entry stands for ()
+            buckets.setdefault(1, []).append((yk,))
+            continue
+        n = 0  # inner is in length order: one bucket per run of a length
+        for K in _keyed(inner):
+            k = len(K)
+            if k != n:
+                n = k
+                append = buckets.setdefault(k + 1, []).append
+            # y ahead of its equals, as sorted((y,) + T) would place it
+            i = bisect_left(K, yk)
+            if i == 0:
+                append((yk,) + K)
+            elif i == k:
+                append(K + (yk,))
+            else:
+                append(K[:i] + (yk,) + K[i:])
+    keyed = entry[7] = _ordered(buckets)
+    return keyed
+
+
 def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
-    """The entry (lo_n, lo_d, hi_n, hi_d, keyed, at_lo) answering budget dn/dd."""
+    """The entry [lo_n, lo_d, hi_n, hi_d, visits, at_lo, best, keyed] answering budget dn/dd."""
     x, delta = table.x, table.delta
     if dn < 0 or dn * x._denominator > x._numerator * dd:
         raise ConsistencyError(f"budget {dn}/{dd} left [0, {x}]")
@@ -429,13 +514,15 @@ def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
 
 def _walk(hier, table: _BudgetTable, dn: int, dd: int):
     """The walk of xd_minimal at d = dn/dd >= delta: the entry
-    (lo_n, lo_d, hi_n, hi_d, keyed, at_lo). It steps through member
-    records (Hierarchy._record): a successor links its predecessor's."""
+    [lo_n, lo_d, hi_n, hi_d, visits, at_lo, best, None], whose tuples are
+    built only when read (_keyed). It steps through member records
+    (Hierarchy._record): a successor links its predecessor's."""
     x = table.x
     xn, xd = x._numerator, x._denominator
     en, ed = table.delta._numerator, table.delta._denominator
-    buckets: dict[int, list[Keyed]] = {}  # length -> keyed tuples of that length
-    at_lo = []  # key of y, inner entry: for each visit whose total is lo
+    visits = []  # key of y, inner entry: for each visit
+    at_lo = []  # the same, for each visit whose total is lo
+    best: dict = {}  # length k -> (k, num, den), the largest reciprocal sum
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 0  # +infinity until the first threshold
 
@@ -467,23 +554,14 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
         if cn * ed < en * cd:  # c < delta, so d - c > d - delta
             raise ConsistencyError("recursive budget must drop by at least delta")
         rn, rd = dn * cd - cn * dd, dd * cd  # d - c, unreduced: gcd costs more than it saves
-        iln, ild, ihn, ihd, inner, _ = entry = _minimal(hier, table, rn, rd)
-        if not inner:
-            buckets.setdefault(1, []).append((yk,))
-        n = 0  # inner is in length order: one bucket per run of a length
-        for K in inner:
-            k = len(K)
-            if k != n:
-                n = k
-                append = buckets.setdefault(k + 1, []).append
-            # y ahead of its equals, as sorted((y,) + T) would place it
-            i = bisect_left(K, yk)
-            if i == 0:
-                append((yk,) + K)
-            elif i == k:
-                append(K + (yk,))
-            else:
-                append(K[:i] + (yk,) + K[i:])
+        iln, ild, ihn, ihd, _, _, ib, _ = entry = _minimal(hier, table, rn, rd)
+        visits += yk, entry
+        for k, sn, sd in ib:  # _fold(best, ib, y), inlined
+            n, d = sn * yn + sd * yd, sd * yn
+            k += 1
+            b = best.get(k)
+            if b is None or n * b[2] > b[1] * d:
+                best[k] = k, n, d
         # the largest total through y: c(x, y) + lo(inner)
         tn, td = cn * ild + iln * cd, cd * ild
         gap = tn * lo_d - lo_n * td
@@ -501,7 +579,7 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
         if cls is SUCCESSOR:
             rec = rec.pred or hier._lowered(rec)
         else:
-            t = _next_total(hier, table, inner, rn, rd)
+            t = _next_total(hier, table, _keyed(entry), rn, rd)
             # unreachable: p0' after inner's largest-total tuple gives lo(inner) + delta >= hi(inner) > r
             if t is None:
                 raise ConsistencyError(f"no one-step total above the inner budget {rn}/{rd}")
@@ -515,7 +593,8 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             rec = hier._record(y)
 
     g, h = gcd(lo_n, lo_d), gcd(hi_n, hi_d)
-    return lo_n // g, lo_d // g, hi_n // h, hi_d // h, _ordered(buckets), tuple(at_lo)
+    return [lo_n // g, lo_d // g, hi_n // h, hi_d // h,
+            tuple(visits), tuple(at_lo), tuple(best.values()), None]
 
 
 def prune_dominated(tuples) -> tuple[Components, ...]:

@@ -21,7 +21,8 @@ from pfinhier import (
     parse_rational,
 )
 from pfinhier import hierarchy
-from pfinhier.hierarchy import _candidates
+from pfinhier.hierarchy import _least_own_and_swaps
+from pfinhier.minimal_sets import _best_below_lo, _tuples_at_lo, _xx_entry
 
 from freeze_golden import GOLDEN
 from oracles import eager_predecessor, generates
@@ -173,24 +174,39 @@ def own_values_and_generator_swaps(hier, x):
     return own, swaps
 
 
-def test_candidates_drain_to_own_values_and_generator_swaps(hier):
-    # drained to the end, the search yields exactly those values, in
-    # ascending order; it runs on successors only, since a generator of a
-    # limit such as 7/17 holds a limit component, which it refuses
-    kinds = Counter()
-    for x in (F(12, 25), F(48, 115)):
+SEARCH_POINTS = (F(12, 25), F(48, 115))
+
+
+def search(hier, x, lower_of=None):
+    """The predecessor search on hier's stored (x, x) entry, as predecessor runs it."""
+    entry = _xx_entry(hier, x)
+    return _least_own_and_swaps(
+        x, _best_below_lo(entry, {}), _tuples_at_lo(entry, {}), lower_of or lowering(hier))
+
+
+def test_search_yields_least_own_value_and_swaps_below_it(hier):
+    # from the stored entry alone, the search finds the least own value
+    # among the tuples that do not generate x, and every generator swap
+    # below it in ascending order, as apply_rule finds them over the public
+    # set; it runs on successors only, since a generator of a limit such
+    # as 7/17 holds a limit component, which it refuses
+    for x in SEARCH_POINTS:
         own, swaps = own_values_and_generator_swaps(hier, x)
-        stored = [keyed(hier, T) for T in hier.xd_minimal(x, x).tuples]
-        drained = list(_candidates(stored, x, lowering(hier)))
-        assert drained == sorted(drained), x
-        assert Counter(drained) == own + swaps, x
-        kinds.update(own=own.total(), swap=swaps.total())
-    assert kinds["own"] and kinds["swap"], kinds
+        least, below = search(hier, x)
+        assert own and swaps and least == min(own), x
+        assert below == sorted(s for s in swaps.elements() if s < least), x
+        # with no non-generator to bound them, every swap comes, in order
+        generators = _tuples_at_lo(_xx_entry(hier, x), {})
+        _, every = _least_own_and_swaps(x, (), generators, lowering(hier))
+        assert every == sorted(swaps.elements()), x
+    # a non-generator pooling at x is a bug: (3/5, 2/3) generates 12/25
+    with pytest.raises(ConsistencyError):
+        _least_own_and_swaps(F(12, 25), ((2, 19, 6),), (), lowering(hier))
 
 
-def test_candidates_lower_only_generator_components(hier, monkeypatch):
+def test_search_lowers_only_generator_components(hier, monkeypatch):
     # swaps are built for the generators only, and lower_of sees only their
-    # components, each once, before the first candidate leaves
+    # components, each once
     swapped = []
     real = hierarchy._swaps
     monkeypatch.setattr(hierarchy, "_swaps", lambda T, *rest: swapped.append(T) or real(T, *rest))
@@ -201,13 +217,12 @@ def test_candidates_lower_only_generator_components(hier, monkeypatch):
         lowered.append(p)
         return lower_of(p)
 
-    for x in (F(12, 25), F(48, 115)):
-        tuples = hier.xd_minimal(x, x).tuples
-        generators = [T for T in tuples if apply_rule(T) == x]
+    for x in SEARCH_POINTS:
+        generators = [T for T in hier.xd_minimal(x, x).tuples if apply_rule(T) == x]
         swapped.clear()
         lowered.clear()
-        first = next(_candidates([keyed(hier, T) for T in tuples], x, recorded))
-        assert generators and first > x, x
+        least, _ = search(hier, x, recorded)
+        assert generators and least > x, x
         assert [tuple(c for _, c in T) for T in swapped] == generators, x
         assert lowered == [p for T in generators for p in T], x
 
@@ -218,9 +233,9 @@ def test_a_generator_swap_decides_alone(hier):
     x = F(12, 25)
     generator = (F(3, 5), F(2, 3))
     assert apply_rule(generator) == x
-    candidates = _candidates([keyed(hier, generator)], x, lowering(hier))
-    members = [v for v in candidates if hier.is_member(v)]
-    assert members[:1] == [F(1, 2)] == [hier.predecessor(x)]
+    least, swaps = _least_own_and_swaps(x, (), [keyed(hier, generator)], lowering(hier))
+    members = [v for v in swaps if hier.is_member(v)]
+    assert least is None and members[:1] == [F(1, 2)] == [hier.predecessor(x)]
 
 
 def test_a_generator_limit_component_is_a_bug(hier):
@@ -233,7 +248,7 @@ def test_a_generator_limit_component_is_a_bug(hier):
     assert apply_rule(generator) == x
     assert hier.classify(F(1, 2)) is Classification.LIMIT
     with pytest.raises(ConsistencyError):
-        list(_candidates([keyed(hier, generator)], x, lowering(hier)))
+        _least_own_and_swaps(x, (), [keyed(hier, generator)], lowering(hier))
 
 
 def test_predecessor_is_an_own_value_or_a_generator_swap(hier):
@@ -252,6 +267,27 @@ def test_predecessor_is_an_own_value_or_a_generator_swap(hier):
         assert u in own or u in swaps, x
         checked += 1
     assert checked == 223
+
+
+def test_every_stored_own_value_is_a_member(hier):
+    # step 5 of predecessor's proof, checked with apply_rule and classify
+    # alone on the successors of test_lazy_predecessor_matches_eager: every
+    # stored tuple of xd_minimal(x, x) pools to a member, so the least own
+    # value among the non-generators is one
+    corpus = json.loads(GOLDEN.read_text())
+    frozen = [*corpus["predecessor"], *corpus["ladder_predecessor"]]
+    points = {parse_rational(x) for x in frozen}.union(LOW_GRID)
+    own = {}
+    successors = 0
+    for x in sorted(points):
+        if x >= F(1, 2) or hier.classify(x) is not Classification.SUCCESSOR:
+            continue
+        successors += 1
+        for T in hier.xd_minimal(x, x).tuples:
+            own.setdefault(apply_rule(T), x)
+    assert successors == 223 and len(own) == 551
+    for value, x in own.items():
+        assert hier.classify(value) is not Classification.NOT_MEMBER, (x, value)
 
 
 def test_every_variant_pools_above_its_tuple(hier):

@@ -20,7 +20,9 @@ from pfinhier import (
 from pfinhier import minimal_sets, parse_rational
 from pfinhier.minimal_sets import (
     _BudgetTable,
+    _best_below_lo,
     _budget_table,
+    _keyed,
     _ordered,
     _stripped,
     _tuples_at_lo,
@@ -178,9 +180,10 @@ def test_interval_reuse_matches_fresh_walks(x):
     # stores a tuple totalling hi, so hi is achievable.
     entries = _budget_table(warm, x).entries
     assert entries
-    for lo_n, lo_d, hi_n, hi_d, keyed, _ in entries:
+    for entry in entries:
+        lo_n, lo_d, hi_n, hi_d, *_ = entry
         lo, hi = F(lo_n, lo_d), F(hi_n, hi_d)
-        tuples = _stripped(keyed)
+        tuples = _stripped(_keyed(entry))
         probes = [lo, (lo + hi) / 2, hi - (hi - lo) / 1024]
         for d in (b for b in probes if b <= x):
             ms = P(Hierarchy(floor_level=4), x, d)
@@ -294,7 +297,8 @@ def test_budget_table_entries_hold_exact_keys(monkeypatch):
     h, tables = cold_tables(monkeypatch, F(7, 17))
     entries = [entry for table in tables for entry in table.entries]
     assert len(entries) == 573
-    for *_, keyed, _ in entries:
+    for entry in entries:
+        keyed = _keyed(entry)
         for K in keyed:
             assert all(a[1] <= b[1] for a, b in zip(K, K[1:])), K
             for k in K:
@@ -314,11 +318,63 @@ def test_entries_carry_their_tuples_at_lo(monkeypatch, x, count):
     assert len(entries) == count
     for t, entry in entries:
         lo = F(entry[0], entry[1])
-        at_lo = tuple(K for K in entry[4] if sum(contribution(t, p) for _, p in K) == lo)
+        at_lo = tuple(K for K in _keyed(entry) if sum(contribution(t, p) for _, p in K) == lo)
         assert at_lo and _tuples_at_lo(entry, {}) == at_lo, (t, lo)
     xx = _xx_entry(h, x)
-    generators = tuple(K for K in xx[4] if generates(_stripped((K,))[0], x))
+    generators = tuple(K for K in _keyed(xx) if generates(_stripped((K,))[0], x))
     assert generators and _tuples_at_lo(xx, {}) == generators
+
+
+@pytest.mark.parametrize("x, count", [(F(7, 17), 573), (F(12, 25), 3)], ids=str)
+def test_entries_carry_their_best_reciprocal_sums(monkeypatch, x, count):
+    # every entry a cold classify fills keeps, for each length, the largest
+    # reciprocal sum among its tuples, and _best_below_lo finds the largest
+    # among its tuples whose total is below lo, as summing its tuples does
+    h, tables = cold_tables(monkeypatch, x)
+    entries = [(table.x, entry) for table in tables for entry in table.entries]
+    assert len(entries) == count
+    below_seen = 0
+    for t, entry in entries:
+        lo = F(entry[0], entry[1])
+        best, below = {}, {}
+        for K in _keyed(entry):
+            k, s = len(K), sum(1 / p for _, p in K)
+            best[k] = max(best.get(k, s), s)
+            if sum(contribution(t, p) for _, p in K) < lo:
+                below[k] = max(below.get(k, s), s)
+        assert {k: F(n, d) for k, n, d in entry[6]} == best, (t, lo)
+        assert {k: F(n, d) for k, n, d in _best_below_lo(entry, {})} == below, (t, lo)
+        below_seen += len(below)
+    assert below_seen
+    assert _budget_table(h, x).empty[6] == ((0, 0, 1),)
+
+
+def test_cold_classify_builds_only_the_tuples_limit_jumps_read(monkeypatch):
+    # the walk keeps visits, not tuples: a cold classify(7/17) builds the
+    # keyed tuples of the entries whose tuples a limit jump prices, and of
+    # the inner entries those extend, and of no other entry
+    jumped = []
+    real_next_total = minimal_sets._next_total
+
+    def recorded(hier, table, keyed, rn, rd):
+        jumped.append(keyed)
+        return real_next_total(hier, table, keyed, rn, rd)
+
+    monkeypatch.setattr(minimal_sets, "_next_total", recorded)
+    _, tables = cold_tables(monkeypatch, F(7, 17))
+    entries = [entry for table in tables for entry in table.entries]
+    assert len(entries) == 573
+    built = [entry for entry in entries if entry[7] is not None]
+    read = {id(keyed) for keyed in jumped}
+    reached, stack = {}, [entry for entry in built if id(entry[7]) in read]
+    while stack:
+        entry = stack.pop()
+        if id(entry) not in reached:
+            reached[id(entry)] = entry
+            stack.extend(inner for inner in entry[4][1::2] if inner[4])
+    assert {id(entry) for entry in built} == set(reached)
+    # of the 573 entries and their 7,570 tuples
+    assert (len(built), sum(len(entry[7]) for entry in built)) == (67, 101)
 
 
 def test_xx_entry_matches_public_sets(hier):
@@ -334,9 +390,11 @@ def test_xx_entry_matches_public_sets(hier):
     for x in points:
         expected = hier.xd_minimal(x, x)
         for h in (Hierarchy(floor_level=4), hier):
-            lo_n, lo_d, hi_n, hi_d, keyed, _ = _xx_entry(h, x)
+            entry = _xx_entry(h, x)
+            lo_n, lo_d, hi_n, hi_d, *_ = entry
             P = h.xd_minimal(x, x)
-            assert (_stripped(keyed), F(lo_n, lo_d), F(hi_n, hi_d)) == (P.tuples, P.lo, P.hi), x
+            stored = _stripped(_keyed(entry)), F(lo_n, lo_d), F(hi_n, hi_d)
+            assert stored == (P.tuples, P.lo, P.hi), x
             assert (P.tuples, P.lo, P.hi) == (expected.tuples, expected.lo, expected.hi), x
 
 
