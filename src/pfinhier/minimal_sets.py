@@ -37,12 +37,13 @@ keeps best, the largest reciprocal sum among its tuples of each length,
 folded from the inner entries' best at each visit, and its at-lo visits,
 those where c(x, y) + lo(inner) is its lo. The keyed tuples are built
 from the visits the first time something reads them (_keyed), and then
-kept: a limit jump, a public set, and the consistency check of an entry
-walked twice. Building inserts y into each inner keyed tuple by
-bisection, collects the extended tuples in one bucket per length, and
-orders them by sorting each bucket with a plain sort, which compares
-floats and falls back to the exact members only when two floats tie,
-then dropping adjacent repeats (_ordered).
+kept. Three things read them: a limit jump, which prices the inner
+set's one-step changes; a public set; and the consistency check of two
+entries walked at one lo. Building inserts y into each inner keyed
+tuple by bisection, collects the extended tuples in one bucket per
+length, and orders them by sorting each bucket with a plain sort, which
+compares floats and falls back to the exact members only when two
+floats tie, then dropping adjacent repeats (_ordered).
 
 classify, predecessor and limit_sequence read the stored (x, x) entry
 (_xx_entry) without building its tuples. A tuple sits at lo exactly
@@ -185,8 +186,8 @@ class _BudgetTable:
     The intervals are disjoint; every budget below delta shares the entry
     empty, which has no tuples and no visits: it stands for the empty
     tuple when a visit extends it, so its best ((0, 0, 1),) is the sum of
-    that one tuple of length 0. lows[i] is the float of
-    entries[i]'s lo, for bisection.
+    that one tuple of length 0. lows[i] is the float of entries[i]'s lo,
+    for bisection.
     """
 
     __slots__ = ("x", "floor", "p0_prime", "delta", "empty", "lows", "entries")
