@@ -111,7 +111,7 @@ def _swaps(T, sn, sd, lower_of):
         yield k * d, (k - 1) * d + n
 
 
-def _least_own_and_swaps(x: ExactRational, below: dict, generators, lower_of):
+def _least_own_and_swaps(x: ExactRational, below: tuple, generators, lower_of):
     """The candidates above x from the stored (x, x) entry (see
     predecessor): the least own value among the tuples that do not
     generate x, or None when every tuple does, and the swaps of the
