@@ -297,7 +297,13 @@ class Hierarchy:
         2. Each component q of T_u has c(u, q) > 0, so q < u/(1 - u) <= r,
            hence q <= p < t and c(x, q) > 0. T_u totals x + k(x/u - 1) <= x
            at budget x, so it is allowed there, and some stored S of the
-           same length has S <= T_u componentwise.
+           same length has S <= T_u componentwise. The stored set's cover
+           property (minimal_sets) promises only a stored tuple whose
+           len(T_u) smallest components lie at or below T_u, and stored
+           sets skip lengths, so this is a premise on the generators of u,
+           checked on 223 successors (tests/test_hierarchy.py). Were the
+           covering tuple longer, u would be the own value of a stored
+           tuple with components dropped, and the search tries no drops.
         3. Take any tuple W of members between S and T_u, componentwise.
            Its components lie in [r_hi, p], so its weights lie in (0, 1]
            and W is a valid application: apply_rule(W) is a member in

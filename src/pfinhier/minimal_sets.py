@@ -3,9 +3,11 @@
 A tuple of members drawn from the slice [floor, 1] of the hierarchy is
 (x, d)-allowed when its per-component contributions x/p + x - 1 are all
 positive and sum to at most d. The minimal-set builder returns a finite
-set of allowed tuples such that every allowed tuple is dominated from
-below, coordinatewise, by a stored tuple of the same length; this is the
-finite search space behind membership classification and predecessors.
+set of allowed tuples that covers them: below each allowed k-tuple,
+coordinatewise, lie the k smallest components of some stored tuple, which
+can be longer: sets skip lengths. At x = 5/12, d = 1/12 the set
+is {(2/3, 2/3)}, though (2/3,) is allowed. This is the finite search
+space behind membership classification and predecessors.
 The floor is always the governing floor of x, so Hierarchy.xd_minimal(x, d)
 is the one public way to a set.
 
@@ -31,27 +33,24 @@ Inside the table a tuple is stored as its exact sort key: the tuple of
 its members' keys (float, member), each built once by the handle's
 intern table (Hierarchy._record); only public sets strip the keys.
 
-The walk builds no tuples. Each entry keeps its visits: for each visited
-y, the key of y and the inner entry whose tuples y extends. It also
-keeps best, the largest reciprocal sum among its tuples of each length,
-folded from the inner entries' best at each visit, and its at-lo visits,
-those where c(x, y) + lo(inner) is its lo. The keyed tuples are built
-from the visits the first time something reads them (_keyed), and then
-kept. Three things read them: a limit jump, which prices the inner
-set's one-step changes; a public set; and the consistency check of two
-entries walked at one lo. Building inserts y into each inner keyed
-tuple by bisection, collects the extended tuples in one bucket per
-length, and orders them by sorting each bucket with a plain sort, which
-compares floats and falls back to the exact members only when two
-floats tie, then dropping adjacent repeats (_ordered).
+The walk records only what it decides: each entry's interval [lo, hi),
+its visits (for each visited y, the key of y and the inner entry whose
+tuples y extends) and its at-lo visits, those where c(x, y) + lo(inner)
+is its lo. The rest is derived from the visits when first read, then
+kept: the keyed tuples (_keyed), which limit jumps and public sets read,
+and best (_best), the largest reciprocal sum among the tuples of each
+length, which the predecessor search reads. _extended builds tuples from
+visits: it inserts y into each inner keyed tuple by bisection, collects
+the results in one bucket per length, and sorts each bucket with a plain
+sort, which compares floats and falls back to the exact members only
+when two floats tie, then drops adjacent repeats (_ordered).
 
 classify, predecessor and limit_sequence read the stored (x, x) entry
 (_xx_entry) without building its tuples. A tuple sits at lo exactly
 when it extends an inner tuple at lo(inner) through an at-lo visit, so
-_tuples_at_lo expands the tuples at lo (at an (x, x) entry with lo = x,
-the generators of x), and _best_below_lo follows the at-lo visits to
-the largest reciprocal sum of each length below lo, neither summing a
-tuple.
+_tuples_at_lo expands the at-lo visits alone (at an (x, x) entry with
+lo = x, to the generators of x), and _best_below_lo follows them to the
+largest reciprocal sum of each length below lo, neither summing a tuple.
 """
 
 from __future__ import annotations
@@ -176,18 +175,17 @@ class _BudgetTable:
     [lo_n, lo_d, hi_n, hi_d, visits, at_lo, best, keyed]: the set for
     every budget in [lo, hi), both ends as reduced integer pairs. visits
     holds the walk's visits flat, as key of y, inner entry, and so on, and
-    at_lo those of them whose total is lo, in the same form. best holds a
-    triple (k, num, den) for each length k among the set's tuples:
-    num/den, an unreduced integer pair, is the largest reciprocal sum
-    among its tuples of length k. keyed is None until _keyed builds
-    the set's tuples from the visits (see the module docstring): as their
-    sort keys only, distinct and in (length, components) order.
+    at_lo those of them whose total is lo, in the same form. best and
+    keyed are None until first read (_best, _keyed): best holds a triple
+    (k, num, den) for each length k among the set's tuples, num/den, an
+    unreduced integer pair, the largest reciprocal sum among them; keyed
+    the tuples' sort keys, distinct and in (length, components) order.
 
-    The intervals are disjoint; every budget below delta shares the entry
-    empty, which has no tuples and no visits: it stands for the empty
-    tuple when a visit extends it, so its best ((0, 0, 1),) is the sum of
-    that one tuple of length 0. lows[i] is the float of entries[i]'s lo,
-    for bisection.
+    The intervals are disjoint and nonempty; every budget below delta
+    shares the entry empty, which has no tuples and no visits: it stands
+    for the empty tuple when a visit extends it, so its preset best
+    ((0, 0, 1),) is the sum of that one tuple of length 0. lows[i] is the
+    float of entries[i]'s lo, for bisection.
     """
 
     __slots__ = ("x", "floor", "p0_prime", "delta", "empty", "lows", "entries")
@@ -220,8 +218,8 @@ class _BudgetTable:
 
     def record(self, dn: int, dd: int, entry) -> None:
         """Store the entry walked at dn/dd, whose interval must hold it and
-        meet no stored one. Only two entries walked at one lo have their
-        tuples built, to compare them."""
+        meet no stored one. So every stored interval is nonempty, and an
+        entry walked at a stored lo meets the entry stored there."""
         lo_n, lo_d, hi_n, hi_d, *_ = entry
         if lo_n * dd > dn * lo_d or dn * hi_d >= hi_n * dd:
             raise ConsistencyError(
@@ -229,12 +227,8 @@ class _BudgetTable:
             )
         entries = self.entries
         i = self._last_at_or_below(lo_n, lo_d)
-        if i >= 0:
-            prev = entries[i]
-            if prev[0] * lo_d == lo_n * prev[1] and _keyed(prev) != _keyed(entry):
-                raise ConsistencyError(f"budgets walked at lo {lo_n}/{lo_d} differ in their sets")
-            if prev[2] * lo_d > lo_n * prev[3]:
-                raise ConsistencyError(f"the interval walked at {dn}/{dd} meets a stored one")
+        if i >= 0 and entries[i][2] * lo_d > lo_n * entries[i][3]:
+            raise ConsistencyError(f"the interval walked at {dn}/{dd} meets a stored one")
         if i + 1 < len(entries) and entries[i + 1][0] * hi_d < hi_n * entries[i + 1][1]:
             raise ConsistencyError(f"the interval walked at {dn}/{dd} meets a stored one")
         entries.insert(i + 1, entry)
@@ -358,11 +352,11 @@ def _build_set(hier, x: ExactRational, d: ExactRational) -> MinimalSet:
     contribution, reaches it; budget d allows the tuples whose total is
     at most d. Let lo be the largest total among the tuples stored for d.
 
-    1. No achievable total lies in (lo, d]. A tuple allowed at d is
-       dominated from below by a stored tuple of the same length, and
-       c(x, p) falls as p rises, so its total is at most the stored
-       tuple's, which is at most lo. So every budget in [lo, d] allows
-       the same tuples as d.
+    1. No achievable total lies in (lo, d]. Below a k-tuple allowed at
+       d lie the k smallest components of a stored tuple (the module
+       docstring), and c(x, p) falls as p rises, so its total is at most
+       theirs, which is at most the stored tuple's, which is at most lo.
+       So every budget in [lo, d] allows the same tuples as d.
     2. The walk depends on d only through the tuples d allows. Its first
        component is the smallest member whose singleton fits; the inner
        budget d - c(x, y) allows exactly the tuples that fit beside y;
@@ -420,17 +414,37 @@ def _xx_entry(hier, x: ExactRational):
     return _minimal(hier, _budget_table(hier, x), x._numerator, x._denominator)
 
 
-def _tuples_at_lo(entry, expanded: dict) -> tuple[Keyed, ...]:
-    """The entry's keyed tuples at lo, in order, from its at-lo visits (see
-    the module docstring); expanded, {} at first, caches inner entries' by id."""
-    buckets: dict[int, list[Keyed]] = {}
-    for yk, inner in zip(entry[5][::2], entry[5][1::2]):
-        if id(inner) not in expanded:  # an empty inner set stands for ()
-            expanded[id(inner)] = _tuples_at_lo(inner, expanded) if inner[4] else ((),)
-        for K in expanded[id(inner)]:
+def _extended(visits, inner_tuples) -> tuple[Keyed, ...]:
+    """The keyed tuples of visits, flat (key of y, inner entry): y inserted
+    into each of inner_tuples(inner), the empty entry standing for ()."""
+    buckets: dict[int, list[Keyed]] = {}  # length -> keyed tuples of that length
+    for yk, inner in zip(visits[::2], visits[1::2]):
+        for K in inner_tuples(inner) if inner[4] else ((),):
+            # y ahead of its equals, as sorted((y,) + T) would place it
             i = bisect_left(K, yk)
             buckets.setdefault(len(K) + 1, []).append(K[:i] + (yk,) + K[i:])
     return _ordered(buckets)
+
+
+def _keyed(entry) -> tuple[Keyed, ...]:
+    """The entry's keyed tuples: built from its visits on the first read,
+    then kept in the entry (see the module docstring)."""
+    keyed = entry[7]
+    if keyed is None:
+        keyed = entry[7] = _extended(entry[4], _keyed)
+    return keyed
+
+
+def _tuples_at_lo(entry, expanded: dict) -> tuple[Keyed, ...]:
+    """The entry's keyed tuples at lo, in order, from its at-lo visits (see
+    the module docstring); expanded, {} at first, caches inner entries' by id."""
+
+    def at_lo(inner):
+        if id(inner) not in expanded:
+            expanded[id(inner)] = _tuples_at_lo(inner, expanded)
+        return expanded[id(inner)]
+
+    return _extended(entry[5], at_lo)
 
 
 def _fold(best: dict, inner_best, y: ExactRational) -> None:
@@ -443,6 +457,18 @@ def _fold(best: dict, inner_best, y: ExactRational) -> None:
         b = best.get(k)
         if b is None or n * b[2] > b[1] * d:
             best[k] = k, n, d
+
+
+def _best(entry) -> tuple:
+    """The entry's best: folded from its visits on the first read, then
+    kept in the entry (see _BudgetTable)."""
+    best = entry[6]
+    if best is None:
+        folded: dict = {}
+        for yk, inner in zip(entry[4][::2], entry[4][1::2]):
+            _fold(folded, _best(inner), yk[1])
+        best = entry[6] = tuple(folded.values())
+    return best
 
 
 def _best_below_lo(entry, below: dict) -> tuple:
@@ -464,38 +490,8 @@ def _best_below_lo(entry, below: dict) -> tuple:
                 below[id(inner)] = _best_below_lo(inner, below)
             _fold(best, below[id(inner)], yk[1])
         else:
-            _fold(best, inner[6], yk[1])
+            _fold(best, _best(inner), yk[1])
     return tuple(best.values())
-
-
-def _keyed(entry) -> tuple[Keyed, ...]:
-    """The entry's keyed tuples: built from its visits on the first read,
-    then kept in the entry (see the module docstring)."""
-    keyed = entry[7]
-    if keyed is not None:
-        return keyed
-    buckets: dict[int, list[Keyed]] = {}  # length -> keyed tuples of that length
-    visits = entry[4]
-    for yk, inner in zip(visits[::2], visits[1::2]):
-        if not inner[4]:  # the empty entry stands for ()
-            buckets.setdefault(1, []).append((yk,))
-            continue
-        n = 0  # inner is in length order: one bucket per run of a length
-        for K in _keyed(inner):
-            k = len(K)
-            if k != n:
-                n = k
-                append = buckets.setdefault(k + 1, []).append
-            # y ahead of its equals, as sorted((y,) + T) would place it
-            i = bisect_left(K, yk)
-            if i == 0:
-                append((yk,) + K)
-            elif i == k:
-                append(K + (yk,))
-            else:
-                append(K[:i] + (yk,) + K[i:])
-    keyed = entry[7] = _ordered(buckets)
-    return keyed
 
 
 def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
@@ -515,15 +511,14 @@ def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
 
 def _walk(hier, table: _BudgetTable, dn: int, dd: int):
     """The walk of xd_minimal at d = dn/dd >= delta: the entry
-    [lo_n, lo_d, hi_n, hi_d, visits, at_lo, best, None], whose tuples are
-    built only when read (_keyed). It steps through member records
-    (Hierarchy._record): a successor links its predecessor's."""
+    [lo_n, lo_d, hi_n, hi_d, visits, at_lo, None, None], the last two filled
+    when read. It steps through member records (Hierarchy._record): a
+    successor links its predecessor's."""
     x = table.x
     xn, xd = x._numerator, x._denominator
     en, ed = table.delta._numerator, table.delta._denominator
     visits = []  # key of y, inner entry: for each visit
     at_lo = []  # the same, for each visit whose total is lo
-    best: dict = {}  # length k -> (k, num, den), the largest reciprocal sum
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 0  # +infinity until the first threshold
 
@@ -555,14 +550,8 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
         if cn * ed < en * cd:  # c < delta, so d - c > d - delta
             raise ConsistencyError("recursive budget must drop by at least delta")
         rn, rd = dn * cd - cn * dd, dd * cd  # d - c, unreduced: gcd costs more than it saves
-        iln, ild, ihn, ihd, _, _, ib, _ = entry = _minimal(hier, table, rn, rd)
+        iln, ild, ihn, ihd, _, _, _, _ = entry = _minimal(hier, table, rn, rd)
         visits += yk, entry
-        for k, sn, sd in ib:  # _fold(best, ib, y), inlined
-            n, d = sn * yn + sd * yd, sd * yn
-            k += 1
-            b = best.get(k)
-            if b is None or n * b[2] > b[1] * d:
-                best[k] = k, n, d
         # the largest total through y: c(x, y) + lo(inner)
         tn, td = cn * ild + iln * cd, cd * ild
         gap = tn * lo_d - lo_n * td
@@ -595,7 +584,7 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
 
     g, h = gcd(lo_n, lo_d), gcd(hi_n, hi_d)
     return [lo_n // g, lo_d // g, hi_n // h, hi_d // h,
-            tuple(visits), tuple(at_lo), tuple(best.values()), None]
+            tuple(visits), tuple(at_lo), None, None]
 
 
 def prune_dominated(tuples) -> tuple[Components, ...]:

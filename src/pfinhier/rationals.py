@@ -1,12 +1,11 @@
 """Exact rational scalar type and its text round-trip.
 
 All kernel arithmetic is exact, and every answer is decided on exact
-values. Floats only order values: ascending_key, the bisection floats of
-the minimal-set budget tables (_BudgetTable.lows) and the predecessor
-search's heap compare floats first, and values whose floats tie are
-compared exactly. Integer true division rounds correctly, so a < b
-implies float(a) <= float(b), and a float comparison never reverses an
-exact one. The scalar type is the stdlib Fraction, re-exported under a
+values. Floats only order values: ascending_key and the bisection floats
+of the minimal-set budget tables (_BudgetTable.lows) compare floats
+first, and values whose floats tie are compared exactly. Integer true
+division rounds correctly, so a < b implies float(a) <= float(b), and a
+float comparison never reverses an exact one. The scalar type is the stdlib Fraction, re-exported under a
 kernel-local alias so call sites stay uniform. It is not a seam for
 another representation: the guards, the memo keys, the minimal-set walk
 and the predecessor search read Fraction's _numerator and _denominator

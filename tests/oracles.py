@@ -170,6 +170,14 @@ def dominated_by_some(T, stored) -> bool:
     )
 
 
+def covered_by_some(T, stored) -> bool:
+    """Whether the len(T) smallest components of some stored tuple lie at
+    or below the ascending T, componentwise; the stored tuple may be longer."""
+    return any(
+        len(S) >= len(T) and all(a <= b for a, b in zip(S, T)) for S in stored
+    )
+
+
 def rule_closure_value(tree) -> Fraction:
     """Tree value with a membership certificate.
 

@@ -22,10 +22,10 @@ from pfinhier import (
 )
 from pfinhier import hierarchy
 from pfinhier.hierarchy import _least_own_and_swaps
-from pfinhier.minimal_sets import _best_below_lo, _tuples_at_lo, _xx_entry
+from pfinhier.minimal_sets import _best_below_lo, _stripped, _tuples_at_lo, _xx_entry
 
 from freeze_golden import GOLDEN
-from oracles import eager_predecessor, generates
+from oracles import dominated_by_some, eager_predecessor, generates
 
 # rationals kept above the chain segment, where every query is cheap
 fast_zone = st.fractions(min_value=F(4, 9), max_value=F(1), max_denominator=120)
@@ -267,6 +267,34 @@ def test_predecessor_is_an_own_value_or_a_generator_swap(hier):
         assert u in own or u in swaps, x
         checked += 1
     assert checked == 223
+
+
+def test_predecessor_generators_lie_above_a_same_length_stored_tuple(hier):
+    # the premise of step 2 of predecessor's proof, which the stored sets'
+    # cover property does not give: each generator T_u of u = predecessor(x)
+    # over [r_hi, 1] lies at or above a stored tuple of xd_minimal(x, x) of
+    # its own length, componentwise. At u = r_hi, T_u is the singleton;
+    # below it u shares x's floor r_hi, and its generators are the tuples
+    # at lo of its own (u, u) entry
+    corpus = json.loads(GOLDEN.read_text())
+    frozen = [*corpus["predecessor"], *corpus["ladder_predecessor"]]
+    points = {parse_rational(x) for x in frozen}.union(LOW_GRID)
+    successors = generators = 0
+    for x in sorted(points):
+        if x >= F(1, 2) or hier.classify(x) is not Classification.SUCCESSOR:
+            continue
+        successors += 1
+        u, r_hi = hier.predecessor(x), hier.segment_of(x).r_hi
+        if u == r_hi:
+            T_u = [(u,)]
+        else:
+            assert hier.governing_floor(u) == r_hi, (x, u)
+            T_u = _stripped(_tuples_at_lo(_xx_entry(hier, u), {}))
+        stored = hier.xd_minimal(x, x).tuples
+        for T in T_u:
+            assert apply_rule(T) == u and dominated_by_some(T, stored), (x, T)
+            generators += 1
+    assert successors == 223 and generators == 337
 
 
 def test_every_stored_own_value_is_a_member(hier):

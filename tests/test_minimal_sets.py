@@ -9,6 +9,7 @@ import pytest
 
 from pfinhier import (
     Classification,
+    ConsistencyError,
     Hierarchy,
     InputError,
     apply_rule,
@@ -20,6 +21,7 @@ from pfinhier import (
 from pfinhier import minimal_sets, parse_rational
 from pfinhier.minimal_sets import (
     _BudgetTable,
+    _best,
     _best_below_lo,
     _budget_table,
     _keyed,
@@ -30,7 +32,14 @@ from pfinhier.minimal_sets import (
 )
 
 from freeze_golden import GOLDEN
-from oracles import base_members, dominated_by_some, generates, sample_allowed_tuples
+from oracles import (
+    all_allowed_tuples,
+    base_members,
+    covered_by_some,
+    dominated_by_some,
+    generates,
+    sample_allowed_tuples,
+)
 from test_hierarchy import LOW_GRID
 
 CHAIN = [F(12, 25), F(8, 17), F(20, 43), F(6, 13)]
@@ -136,6 +145,27 @@ def test_domination_at_partial_budget(hier):
         pool = [p for p in base_members(10) + CHAIN if p >= ms.floor]
         for T in sample_allowed_tuples(rng, x, d, pool, 60):
             assert dominated_by_some(T, ms.tuples), (d, T)
+
+
+@pytest.mark.parametrize("x", [F(5, 12), F(7, 17)], ids=str)
+def test_stored_sets_cover_allowed_tuples(hier, x):
+    # step 1 of _build_set: for each tuple allowed at d, of length k, the k
+    # smallest components of some stored tuple lie at or below it,
+    # componentwise. Checked on every allowed tuple over the 60 largest
+    # members with a positive contribution, at the budgets x/10 to x. The
+    # same-length form fails at every one of them from x/5 up: stored sets
+    # skip lengths, so the covering tuple can be longer
+    top = P(hier, x, x)
+    pool = [top.p0_prime]
+    while len(pool) < 60:
+        pool.append(hier.next_below(pool[-1]))
+    assert pool[-1] >= top.floor
+    for i in range(1, 11):
+        d = x * i / 10
+        stored = P(hier, x, d).tuples
+        allowed = all_allowed_tuples(x, d, pool)
+        assert all(covered_by_some(T, stored) for T in allowed), d
+        assert i < 2 or not all(dominated_by_some(T, stored) for T in allowed), d
 
 
 def test_prune_dominated():
@@ -275,6 +305,31 @@ def test_budget_table_steps_back_past_float_ties():
     assert table.lookup(bn, bd) is high
 
 
+def test_budget_table_refuses_inconsistent_entries():
+    # record stores an entry only when its interval holds the budget walked
+    # and meets no stored interval; every stored interval is nonempty, so
+    # a second entry at a stored lo meets the one stored there
+    table = _BudgetTable(F(1, 2), F(1, 2), F(1), F(1, 2))  # record and lookup read entries only
+    stored = (1, 4, 1, 3, (), ())
+    table.record(1, 4, stored)
+    refused = [
+        (1, 5, (1, 6, 1, 5, (), ())),  # the budget is hi, outside [1/6, 1/5)
+        (1, 7, (1, 6, 1, 5, (), ())),  # the budget lies below lo
+        (1, 4, (1, 4, 2, 7, (), ())),  # a second entry at lo 1/4
+        (1, 5, (1, 5, 3, 10, (), ())),  # [1/5, 3/10) meets [1/4, 1/3)
+        (3, 10, (3, 10, 2, 5, (), ())),  # [3/10, 2/5) starts inside [1/4, 1/3)
+    ]
+    for dn, dd, entry in refused:
+        with pytest.raises(ConsistencyError):
+            table.record(dn, dd, entry)
+    assert table.entries == [stored]
+    # intervals that only touch are disjoint
+    below, above = (1, 6, 1, 4, (), ()), (1, 3, 1, 2, (), ())
+    table.record(1, 5, below)
+    table.record(1, 3, above)
+    assert table.entries == [below, stored, above]
+
+
 def cold_tables(monkeypatch, x):
     """A fresh Hierarchy after classify(x), and the budget tables it filled."""
     tables = {}
@@ -342,7 +397,7 @@ def test_entries_carry_their_best_reciprocal_sums(monkeypatch, x, count):
             best[k] = max(best.get(k, s), s)
             if sum(contribution(t, p) for _, p in K) < lo:
                 below[k] = max(below.get(k, s), s)
-        assert {k: F(n, d) for k, n, d in entry[6]} == best, (t, lo)
+        assert {k: F(n, d) for k, n, d in _best(entry)} == best, (t, lo)
         assert {k: F(n, d) for k, n, d in _best_below_lo(entry, {})} == below, (t, lo)
         below_seen += len(below)
     assert below_seen
@@ -375,6 +430,37 @@ def test_cold_classify_builds_only_the_tuples_limit_jumps_read(monkeypatch):
     assert {id(entry) for entry in built} == set(reached)
     # of the 573 entries and their 7,570 tuples
     assert (len(built), sum(len(entry[7]) for entry in built)) == (67, 101)
+
+
+def test_cold_classify_folds_only_the_best_sums_the_search_reads(monkeypatch):
+    # the walk folds no best: a cold classify(7/17) folds the best of each
+    # inner entry that _best_below_lo reads through a visit not at lo, and
+    # of the inner entries those extend, and of no other entry
+    searched = []
+    real_best_below_lo = minimal_sets._best_below_lo
+
+    def recorded(entry, below):
+        searched.append(entry)
+        return real_best_below_lo(entry, below)
+
+    monkeypatch.setattr(minimal_sets, "_best_below_lo", recorded)
+    _, tables = cold_tables(monkeypatch, F(7, 17))
+    entries = [entry for table in tables for entry in table.entries]
+    assert len(entries) == 573
+    stack = []
+    for entry in searched:
+        at_lo = {id(yk) for yk in entry[5][::2]}
+        visits = entry[4]
+        stack.extend(inner for yk, inner in zip(visits[::2], visits[1::2]) if id(yk) not in at_lo)
+    reached = set()
+    while stack:
+        entry = stack.pop()
+        if entry[4] and id(entry) not in reached:
+            reached.add(id(entry))
+            stack.extend(entry[4][1::2])
+    folded = {id(entry) for entry in entries if entry[6] is not None}
+    assert folded == reached
+    assert len(folded) == 360
 
 
 def test_xx_entry_matches_public_sets(hier):
