@@ -10,17 +10,20 @@ Membership inside a segment reduces to the finite minimal-set search.
 
 A is well ordered in decreasing order: every nonempty set of members has
 a largest element. So every strictly ascending chain of members is
-finite, which is why the climb behind bracket and next_below ends, and
-every member above the floor edge 1/(L+1) has an immediate member below
-it. Only successors also have an immediate member above them (the
-predecessor); limit members are approached from above by computable
-strictly decreasing sequences.
+finite, and every member above the floor edge 1/(L+1) has an immediate
+member below it. Only successors also have an immediate member above
+them (the predecessor); limit members are approached from above by
+computable strictly decreasing sequences. Below 1/2, bracket and
+next_below read a member at or below their answer off the point's own
+minimal-set entry, and climb from it through predecessors and limit
+sequences; being an ascending chain, the climb ends.
 
 All queries live on a Hierarchy object, which memoizes segments,
 governing floors, limit sequences, brackets and neighbors per instance.
 It also owns the minimal-set tables, one per x over the governing floor
-of x, each set stored once for the whole interval of budgets that yields
-it. A memoized limit sequence keeps every term it has computed.
+of x (and one over [x, 1] for a chain point x whose next member down is
+asked for), each set stored once for the whole interval of budgets that
+yields it. A memoized limit sequence keeps every term it has computed.
 
 Its intern table, keyed on (numerator, denominator), holds one record
 per value: its sort key (float, value), built once, and, once worked
@@ -36,6 +39,7 @@ FloorError instead of recursing without bound.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
@@ -113,14 +117,14 @@ def _swaps(T, sn, sd, lower_of):
 
 def _least_own_and_swaps(x: ExactRational, below: tuple, generators, lower_of):
     """The candidates above x from the stored (x, x) entry (see
-    predecessor): the least own value among the tuples that do not
-    generate x, or None when every tuple does, and the swaps of the
+    predecessor): the least own value among the prefixes that do not
+    generate x, or None when there is none, and the swaps of the
     generators that lie below it, in exact ascending order.
 
-    below holds a triple (k, sn, sd) for each length k among the
-    non-generators: sn/sd is their largest reciprocal sum, so their least
-    own value is k*sd / ((k - 1)*sd + sn). generators are the keyed tuples
-    that do generate x. Only the generators' components are lowered.
+    below holds a triple (k, sn, sd) for each length k among the prefixes
+    that do not generate x: sn/sd is their largest reciprocal sum, so their
+    least own value is k*sd / ((k - 1)*sd + sn). generators are the keyed
+    tuples that do generate x. Only the generators' components are lowered.
     """
     xn, xd = x._numerator, x._denominator
     vn, vd = 1, 0  # +infinity until the first length
@@ -129,7 +133,7 @@ def _least_own_and_swaps(x: ExactRational, below: tuple, generators, lower_of):
         if num * vd < vn * den:
             vn, vd = num, den
     if vd and vn * xd <= xn * vd:
-        raise ConsistencyError(f"a stored non-generator of {x} pools at or below it")
+        raise ConsistencyError(f"a stored prefix that does not generate {x} pools at or below it")
     swaps = []
     for T in generators:
         sn, sd = reciprocal_sum(T)
@@ -278,9 +282,12 @@ class Hierarchy:
         pools to k/(k - 1 + S). A tuple generates x when it pools to x
         exactly; every stored tuple pools to at least x, since its
         contributions c(x, q) = x/q + x - 1 are positive and total at most
-        x. The candidates are:
+        x. Call the k smallest components of a stored tuple its k-prefix;
+        a prefix is allowed wherever its tuple is, since contributions are
+        positive. The candidates are:
 
-        - the own value of each stored tuple that does not generate x, and
+        - the own value of each prefix of a stored tuple, other than the
+          generators themselves, and
         - each swap of a stored generator: one successor component
           replaced by its predecessor.
 
@@ -296,33 +303,32 @@ class Hierarchy:
            u = r_hi it is the singleton.
         2. Each component q of T_u has c(u, q) > 0, so q < u/(1 - u) <= r,
            hence q <= p < t and c(x, q) > 0. T_u totals x + k(x/u - 1) <= x
-           at budget x, so it is allowed there, and some stored S of the
-           same length has S <= T_u componentwise. The stored set's cover
-           property (minimal_sets) promises only a stored tuple whose
-           len(T_u) smallest components lie at or below T_u, and stored
-           sets skip lengths, so this is a premise on the generators of u,
-           checked on 223 successors (tests/test_hierarchy.py). Were the
-           covering tuple longer, u would be the own value of a stored
-           tuple with components dropped, and the search tries no drops.
+           at budget x, so it is allowed there, and by the cover property
+           of the stored set (minimal_sets) the k-prefix S of some stored
+           tuple lies at or below T_u, componentwise, k = len(T_u). S is
+           allowed at x, so it pools at or above x.
         3. Take any tuple W of members between S and T_u, componentwise.
            Its components lie in [r_hi, p], so its weights lie in (0, 1]
            and W is a valid application: apply_rule(W) is a member in
            [x, u], hence x or u.
-        4. If S = T_u, u is the own value of S, which does not generate x.
-           Otherwise S pools strictly below u, so S generates x. No W
-           strictly between S and T_u may pool strictly between x and u,
-           so they differ in exactly one component, where T_u holds the
-           member immediately above S's: S's component is a successor
-           (a limit has no member immediately above it) and T_u's is its
-           predecessor. So u is a swap of the generator S.
+        4. If S = T_u, u is the own value of the prefix S, which pools
+           above x and so is no generator. Otherwise S pools strictly below
+           u, so to x: its total is x, and the stored tuple it is a prefix
+           of totals at least that and at most x, so it has no further
+           component: S is a stored generator. No W strictly between S and
+           T_u may pool strictly between x and u, so they differ in
+           exactly one component, where T_u holds the member immediately
+           above S's: S's component is a successor (a limit has no member
+           immediately above it) and T_u's is its predecessor. So u is a
+           swap of the generator S.
 
         5. The argument of 3 needs only components in [r_hi, p], and every
            stored tuple has them: r_hi is the floor, and each component q
-           has c(x, q) > 0, so q < t and q <= p. So every stored tuple is a
-           valid application and its own value is a member; in particular
-           the least own value v among the tuples that do not generate x.
-           So u is the least member among the generator swaps below v, or
-           v itself when none is.
+           has c(x, q) > 0, so q < t and q <= p. So every prefix of a
+           stored tuple is a valid application and its own value is a
+           member; in particular the least own value v among the prefixes
+           that do not generate x. So u is the least member among the
+           generator swaps below v, or v itself when none is.
 
         Every component of a generator of x is itself a successor: classify
         answers SUCCESSOR only when no generator has a limit component, and
@@ -331,11 +337,11 @@ class Hierarchy:
 
         The search sums no stored tuple. A tuple of k components whose
         reciprocals sum to S pools to k/(k - 1 + S), which falls as S
-        rises, so v is the least over k of k/(k - 1 + S_k), S_k the largest
-        reciprocal sum of a length-k tuple that does not generate x. The
-        stored entry keeps the largest sum of each length, and
-        minimal_sets._best_below_lo finds S_k along the visits at lo; the
-        generators come from minimal_sets._tuples_at_lo, and
+        rises, so v is the least over k of k/(k - 1 + P_k), P_k the largest
+        reciprocal sum of a k-prefix that does not generate x. A prefix
+        generates x only when it is a whole stored tuple at lo = x, and
+        minimal_sets._best_below_lo finds each P_k along the visits at
+        lo; the generators come from minimal_sets._tuples_at_lo, and
         _least_own_and_swaps orders their swaps below v exactly. v is
         checked like any candidate: ConsistencyError if it does not lie
         above x or is no member.
@@ -434,7 +440,52 @@ class Hierarchy:
 
     @memoized(_check)
     def bracket(self, p: ExactRational):
-        """Largest member <= p and smallest member >= p."""
+        """Largest member <= p and smallest member >= p.
+
+        Above 1/2, and at every 1/k, they are closed forms, and a member is
+        its own bracket. A non-member p below 1/2 lies inside a segment
+        [r_lo, r_hi) of the anchor [h(a), h(b)], where a < p/(1 - p) < b
+        are consecutive members. Its bracket is the last member L <= p and
+        the member above L, and the climb finds both from a member at or
+        below L that the (p, p) entry names:
+
+        1. A tuple W of members of [r_hi, a] that pools to v in (r_lo, p)
+           pools to a member. v lies in the anchor, so every component
+           q <= a has a positive weight c(v, q), below 1 as q > v; W is a
+           valid application (step 3 of predecessor).
+        2. A k-tuple whose contributions at p total s pools to
+           k p/(s + k - p): its reciprocals sum to (s + k(1 - p))/p. So it
+           pools below p exactly when s > p.
+        3. The walk of the (p, p) entry sums hi, the least achievable
+           total above lo, as a candidate that is the total of a tuple
+           over [r_hi, a] of length hi_k (minimal_sets._build_set, step
+           3). hi > p, so by 2 that tuple pools to
+           v0 = hi_k p/(hi + hi_k - p) < p, and by 1 the start
+           max(r_lo, v0) is a member at most L (_start_below).
+        4. From the start the climb steps to the predecessor of a
+           successor and into the limit sequence of a limit, never past p.
+           The hierarchy is well ordered in descending order, so every
+           ascending chain of members is finite and the climb ends, at L.
+           It stops because the member above L lies above p.
+
+        The start is not always L: a tuple pools to p/(1 + (s - p)/k),
+        so a longer tuple whose total lies above hi can pool higher than
+        hi's. At p = 306/727, hi is the total of a pair and v0 = 210/499,
+        but L = 117/278 is the pool of (26/51, 3/5, 2/3). So the climb
+        checks v0, through its own (v0, v0) entry. bracket and next_below
+        on the 615 points of [16/39, 1/2) with denominator at most 150
+        climb 2,283 times, and 6 climbs go past their start; a cold
+        classify(81/200) climbs 691 times, 6 past the start. The climb
+        classifies no member between the bottom of the level and v0.
+
+        The smallest member >= p is also min(r_hi, min over k of
+        k/(k - 1 + P_k)), P_k the entry's prefix sums (minimal_sets): a
+        tuple over [r_hi, a] allowed at (p, p) pools at or above p by 2,
+        every tuple that pools at or above p is allowed, and, by the
+        cover property, the largest reciprocal sum of an allowed k-tuple
+        is P_k, since a prefix of a stored tuple is allowed. The climb
+        has that member already; tests check the identity.
+        """
         pn, pd = p._numerator, p._denominator
         if pn == 1:
             # every 1/k is a member: 1, 1/2, and the images of 1/(k-1)
@@ -446,19 +497,35 @@ class Hierarchy:
             if pd == 2 * pn - 1:  # p is n_star/(2*n_star - 1) itself
                 return f2, f2
             return self._member_of(n_star + 1, 2 * n_star + 1), f2
-        return self._climb(p, strict=False)
+        if self.classify(p) is not Classification.NOT_MEMBER:
+            p = self._member(p)
+            return p, p
+        start = self._start_below(p, minimal_sets._xx_entry(self, p), self.segment_of(p).r_lo)
+        return self._climb(self._record(start), ascending_key(p), strict=False)
 
-    def _climb(self, p: ExactRational, strict: bool):
-        """The last member below p (< p if strict, else <= p) and the member above it.
+    def _start_below(self, x: ExactRational, entry, bottom: ExactRational) -> ExactRational:
+        """max(bottom, K x/(hi + K - x)) for the (x, x) entry's hi and its
+        longest candidate length K: the member a climb to x starts from
+        (see bracket)."""
+        xn, xd = x._numerator, x._denominator
+        hn, hd, k = entry[2], entry[3], entry[8]
+        num, den = k * xn * hd, hn * xd + (k * xd - xn) * hd
+        if num * bottom._denominator <= bottom._numerator * den:
+            return bottom
+        g = gcd(num, den)
+        return self._member_of(num // g, den // g)
 
-        Climbs from the member 1/(k+1) under p through predecessors and
-        limit sequences, never past p; ascending chains of members are
-        finite, so the climb ends.
+    def _climb(self, rec: _Record, pk, strict: bool):
+        """From the member rec at or below p, the last member below p (< p
+        if strict, else <= p) and the member above it; pk is p's key.
+
+        Climbs through predecessors and limit sequences, never past p;
+        ascending chains of members are finite, so the climb ends. bracket
+        and next_below start it from a member read off p's own entry,
+        which can lie below the answer (see bracket): the climb certifies
+        that start, usually with one predecessor.
         """
-        pk = ascending_key(p)  # members compare by their keys: floats first
         below = pk.__gt__ if strict else pk.__ge__
-        rec = self._record(ExactRational(1, p.denominator // p.numerator + 1))
-        self._check(rec.key[1])  # under the floor when p is the floor edge
         while True:
             cur = rec.key[1]
             if rec.key == pk:
@@ -481,13 +548,49 @@ class Hierarchy:
     @memoized(_check)
     def next_below(self, u: ExactRational) -> ExactRational:
         """The member immediately below u; total on members except the
-        floor edge 1/(L+1), whose neighbor lies under the floor (FloorError)."""
+        floor edge 1/(L+1), whose neighbor lies under the floor (FloorError).
+
+        Above 1/2 it is the closed form (n+1)/(2n+1). Below, the members
+        under u down to the next one that bounds a segment are the pools
+        of tuples over [f, a], where f is the floor of that stretch and a
+        the member under u/(1 - u) (bracket, 1): so the climb of bracket,
+        strict this time, starts from the (u, u) entry over [f, 1]:
+
+        - inside a segment [r_lo, r_hi), u != r_lo: f = r_hi, u's own
+          entry, and the stretch ends at r_lo;
+        - at an image u = h(t): f = u, u's own entry again, since u
+          governs its own floor, and the stretch ends at pool(t', u), t'
+          the member below t;
+        - at a chain point u = r_lo: the segment below is [pool(a, u), u)
+          with floor u, one segment under the floor of u's own table; its
+          entry comes from the table of u over [u, 1]
+          (minimal_sets._floored_table).
+
+        u's entry totals exactly u at lo, and its hi lies above u, so the
+        start pools below u (bracket, 2 and 3).
+        """
         if self.classify(u) is Classification.NOT_MEMBER:
             raise DomainError(f"next_below needs a member, got {u}")
-        n = u._numerator
-        if 2 * n > u._denominator:  # u > 1/2
+        n, den = u._numerator, u._denominator
+        if 2 * n > den:  # u > 1/2
             return self._member_of(n + 1, 2 * n + 1)
-        lo, hi = self._climb(u, strict=True)
+        if n * (self.floor_level + 1) == den:
+            # the floor edge: the members below it lie under the floor
+            self._check(ExactRational(1, self.floor_level + 2))
+        t = h_inverse(u)
+        if self.classify(t) is not Classification.NOT_MEMBER:
+            bottom = apply_rule((self.next_below(t), u))
+            entry = minimal_sets._xx_entry(self, u)
+        else:
+            seg = self.segment_of(u)
+            if u == seg.r_lo:
+                bottom = apply_rule((h_inverse(seg.anchor_low), u))
+                entry = minimal_sets._minimal(self, minimal_sets._floored_table(self, u), n, den)
+            else:
+                bottom = seg.r_lo
+                entry = minimal_sets._xx_entry(self, u)
+        start = self._start_below(u, entry, self._member(bottom))
+        lo, hi = self._climb(self._record(start), ascending_key(u), strict=True)
         if hi != u:
             raise ConsistencyError(f"the member above next_below({u}) = {lo} is {hi}")
         return lo

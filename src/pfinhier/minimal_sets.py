@@ -17,11 +17,13 @@ find_smallest for the least total above the inner budget among one-step
 changes of the inner set's tuples, and jumps past it.
 
 Functions take the hierarchy handle explicitly; it must provide bracket,
-next_below, governing_floor and the member records (_record, _classified,
-_lowered) through which the walk steps unguarded. Each handle keeps one
-budget table per x: the floor and (p0', delta) that every budget of that
-x shares, and each set found, stored once for the whole interval
-[lo, hi) of budgets that yields it (see _build_set).
+next_below, governing_floor, its interned members (_member, _member_of)
+and the member records (_record, _classified, _lowered) through which
+the walk steps unguarded. Each handle keeps one budget table per x: the
+floor and (p0', delta) that every budget of that x shares, and each set
+found, stored once for the whole interval [lo, hi) of budgets that
+yields it (see _build_set); and, for a chain point x whose next member
+down is asked for, one more table of x over [x, 1] (_floored_table).
 
 The arithmetic is exact and integer-based: the walk keeps budgets,
 contributions and interval ends as integer numerator/denominator pairs
@@ -35,22 +37,28 @@ intern table (Hierarchy._record); only public sets strip the keys.
 
 The walk records only what it decides: each entry's interval [lo, hi),
 its visits (for each visited y, the key of y and the inner entry whose
-tuples y extends) and its at-lo visits, those where c(x, y) + lo(inner)
-is its lo. The rest is derived from the visits when first read, then
+tuples y extends), its at-lo visits, those where c(x, y) + lo(inner)
+is its lo, and the longest length among its candidates for hi (see
+_build_set). The rest is derived from the visits when first read, then
 kept: the keyed tuples (_keyed), which limit jumps and public sets read,
-and best (_best), the largest reciprocal sum among the tuples of each
-length, which the predecessor search reads. _extended builds tuples from
-visits: it inserts y into each inner keyed tuple by bisection, collects
-the results in one bucket per length, and sorts each bucket with a plain
-sort, which compares floats and falls back to the exact members only
-when two floats tie, then drops adjacent repeats (_ordered).
+and the prefix sums (_best): for each length k, the largest reciprocal
+sum of the k smallest components of a stored tuple, over the tuples of
+at least k components. The prefix of a tuple has the largest reciprocal
+sum among its k-component subsets, so y joined to an inner tuple T has
+the k-prefix sum max(P_k(T), 1/y + P_(k-1)(T)), P_0 = 0, a fold over
+the visits (_fold). _extended builds tuples from visits: it inserts y
+into each inner keyed tuple by bisection, collects the results in one
+bucket per length, and sorts each bucket with a plain sort, which
+compares floats and falls back to the exact members only when two
+floats tie, then drops adjacent repeats (_ordered).
 
-classify, predecessor and limit_sequence read the stored (x, x) entry
-(_xx_entry) without building its tuples. A tuple sits at lo exactly
-when it extends an inner tuple at lo(inner) through an at-lo visit, so
-_tuples_at_lo expands the at-lo visits alone (at an (x, x) entry with
-lo = x, to the generators of x), and _best_below_lo follows them to the
-largest reciprocal sum of each length below lo, neither summing a tuple.
+classify, predecessor, limit_sequence, bracket and next_below read a
+stored (x, x) entry (_xx_entry) without building its tuples. A tuple
+sits at lo exactly when it extends an inner tuple at lo(inner) through
+an at-lo visit, so _tuples_at_lo expands the at-lo visits alone (at an
+(x, x) entry with lo = x, to the generators of x), and _best_below_lo
+follows them to the prefix sums of the prefixes below lo, neither
+summing a tuple.
 """
 
 from __future__ import annotations
@@ -172,27 +180,29 @@ class _BudgetTable:
     """What every budget of one x shares, and the sets found so far.
 
     entries ascend by lo and each is the list
-    [lo_n, lo_d, hi_n, hi_d, visits, at_lo, best, keyed]: the set for
-    every budget in [lo, hi), both ends as reduced integer pairs. visits
-    holds the walk's visits flat, as key of y, inner entry, and so on, and
-    at_lo those of them whose total is lo, in the same form. best and
-    keyed are None until first read (_best, _keyed): best holds a triple
-    (k, num, den) for each length k among the set's tuples, num/den, an
-    unreduced integer pair, the largest reciprocal sum among them; keyed
-    the tuples' sort keys, distinct and in (length, components) order.
+    [lo_n, lo_d, hi_n, hi_d, visits, at_lo, best, keyed, hi_k]: the set
+    for every budget in [lo, hi), both ends as reduced integer pairs.
+    visits holds the walk's visits flat, as key of y, inner entry, and so
+    on, and at_lo those of them whose total is lo, in the same form.
+    best and keyed are None until first read (_best, _keyed): best holds
+    a triple (k, num, den) for each length k among the set's tuples,
+    num/den, an unreduced integer pair, the largest reciprocal sum of the
+    k smallest components of a tuple (its prefix sum); keyed the tuples'
+    sort keys, distinct and in (length, components) order. hi_k is the
+    longest length among the tuples whose total the walk took as hi.
 
     The intervals are disjoint and nonempty; every budget below delta
     shares the entry empty, which has no tuples and no visits: it stands
-    for the empty tuple when a visit extends it, so its preset best
-    ((0, 0, 1),) is the sum of that one tuple of length 0. lows[i] is the
-    float of entries[i]'s lo, for bisection.
+    for the empty tuple when a visit extends it, so it has no prefix sum
+    of a positive length, and p0' alone reaches its hi, delta (hi_k 1).
+    lows[i] is the float of entries[i]'s lo, for bisection.
     """
 
     __slots__ = ("x", "floor", "p0_prime", "delta", "empty", "lows", "entries")
 
     def __init__(self, x, floor, p0_prime: ExactRational, delta: ExactRational):
         self.x, self.floor, self.p0_prime, self.delta = x, floor, p0_prime, delta
-        self.empty = [0, 1, delta._numerator, delta._denominator, (), (), ((0, 0, 1),), ()]
+        self.empty = [0, 1, delta._numerator, delta._denominator, (), (), (), (), 1]
         self.lows: list[float] = []
         self.entries: list[list] = []
 
@@ -235,12 +245,10 @@ class _BudgetTable:
         self.lows.insert(i + 1, lo_n / lo_d)
 
 
-@memoized(lambda hier, x: None)  # its callers have guarded x
-def _budget_table(hier, x: ExactRational) -> _BudgetTable:
-    """The table of x over [floor, 1], floor its governing floor, with
-    (p0', delta): the largest member of [floor, 1] with strictly positive
-    contribution, and that contribution, the least any component adds."""
-    floor = hier.governing_floor(x)
+def _table_over(hier, x: ExactRational, floor: ExactRational) -> _BudgetTable:
+    """A new table of x over [floor, 1], with (p0', delta): the largest
+    member of [floor, 1] with strictly positive contribution, and that
+    contribution, the least any component adds."""
     xn, xd = x.numerator, x.denominator
     if 2 * xn > xd:  # x == 1 or x/(1-x) > 1
         p0p = ONE
@@ -256,12 +264,29 @@ def _budget_table(hier, x: ExactRational) -> _BudgetTable:
     return _BudgetTable(x, floor, p0p, delta)
 
 
+@memoized(lambda hier, x: None)  # its callers have guarded x
+def _budget_table(hier, x: ExactRational) -> _BudgetTable:
+    """The table of x over [floor, 1], floor its governing floor."""
+    return _table_over(hier, x, hier.governing_floor(x))
+
+
+@memoized(lambda hier, x: None)  # its callers have guarded x
+def _floored_table(hier, x: ExactRational) -> _BudgetTable:
+    """The table of the chain point x over [x, 1]: the floor of the
+    segment below x, one segment under x's governing floor."""
+    return _table_over(hier, x, x)
+
+
 def _smallest_with_contribution_at_most(hier, table: _BudgetTable, bn: int, bd: int):
     """Smallest member y >= floor with x/y + x - 1 <= bn/bd, and the member
     just below y, or None when that one lies under the floor; x and floor
     are the table's.
 
     The walk asks only for bounds of at least delta, which p0' meets.
+    Above 1/2 the members are n/(2n - 1), so a threshold tn/a > 1/2 has
+    y = n*/(2n* - 1) with n* = floor(tn / (2tn - a)), and the member
+    below y is (n* + 1)/(2n* + 1) whether or not the threshold is y:
+    both come from integers, with no Fraction and no bracket.
     """
     x, floor = table.x, table.floor
     xn, xd = x._numerator, x._denominator
@@ -270,13 +295,18 @@ def _smallest_with_contribution_at_most(hier, table: _BudgetTable, bn: int, bd: 
     tn = xn * bd
     if a <= 0 or tn > a:  # the threshold is negative or exceeds 1
         raise ConsistencyError(f"no component fits the bound {bn}/{bd} >= delta")
-    if floor._numerator * a >= tn * floor._denominator:
+    fn, fd = floor._numerator, floor._denominator
+    if fn * a >= tn * fd:
         # every member from the floor up fits; none below it counts
-        return hier.bracket(floor)[1], None
-    below, y = hier.bracket(ExactRational(tn, a))
-    if below == y:  # the threshold is a member
-        below = hier.next_below(y)
-    fits = below._numerator * floor._denominator >= floor._numerator * below._denominator
+        return hier._member(floor), None
+    if 2 * tn > a:  # the threshold exceeds 1/2
+        n = tn // (2 * tn - a)
+        y, below = hier._member_of(n, 2 * n - 1), hier._member_of(n + 1, 2 * n + 1)
+    else:
+        below, y = hier.bracket(ExactRational(tn, a))
+        if below == y:  # the threshold is a member
+            below = hier.next_below(y)
+    fits = below._numerator * fd >= fn * below._denominator
     return y, (below if fits else None)
 
 
@@ -297,43 +327,47 @@ def find_smallest(hier, P: MinimalSet):
     table = _budget_table(hier, P.x)
     keyed = tuple(tuple(hier._record(p).key for p in T) for T in P.tuples)
     t = _next_total(hier, table, keyed, P.d.numerator, P.d.denominator)
-    return None if t is None else ExactRational(*t)
+    return None if t is None else ExactRational(t[0], t[1])
 
 
 def _next_total(hier, table: _BudgetTable, keyed: tuple[Keyed, ...], rn: int, rd: int):
     """find_smallest on integer pairs and keyed tuples: the least total
     above rn/rd among one-step changes of the tuples, as a reduced pair,
-    or None."""
+    and the longest length of a change that reaches it; or None."""
     x, floor = table.x, table.floor
     xn, xd = x._numerator, x._denominator
     fn, fd = floor._numerator, floor._denominator
     en, ed = table.delta._numerator, table.delta._denominator
     next_below = hier.next_below
-    best_n, best_d = 1, 0  # +infinity until the first candidate
+    best_n, best_d, best_k = 1, 0, 0  # +infinity until the first candidate
     for K in keyed + ((),):
         # k components whose reciprocals sum to sn/sd total
         # (xn*sn + k*(xn - xd)*sd) / (xd*sd)
         k = len(K)
         sn, sd = reciprocal_sum(K)
         tn, td = xn * sn + k * (xn - xd) * sd, xd * sd
-        candidates = [(tn * ed + en * td, td * ed)]  # append p0'
+        candidates = [(tn * ed + en * td, td * ed, k + 1)]  # append p0'
         for _, p in K:
+            pn, pd = p._numerator, p._denominator
+            if pn * fd == fn * pd:  # the member below the floor lies under it
+                continue
             q = next_below(p)
             qn, qd = q._numerator, q._denominator
             if qn * fd < fn * qd:  # q < floor
                 continue
             # swap 1/p for 1/q in the reciprocal sum
-            pn, pd = p._numerator, p._denominator
             wn = (sn * pn - sd * pd) * qn + sd * pn * qd
             wd = sd * pn * qn
-            candidates.append((xn * wn + k * (xn - xd) * wd, xd * wd))
-        for cn, cd in candidates:
-            if cn * rd > rn * cd and cn * best_d < best_n * cd:
-                best_n, best_d = cn, cd
+            candidates.append((xn * wn + k * (xn - xd) * wd, xd * wd, k))
+        for cn, cd, ck in candidates:
+            if cn * rd > rn * cd:
+                gap = cn * best_d - best_n * cd
+                if gap < 0 or gap == 0 and ck > best_k:
+                    best_n, best_d, best_k = cn, cd, ck
     if best_d == 0:
         return None
     g = gcd(best_n, best_d)
-    return best_n // g, best_d // g
+    return best_n // g, best_d // g, best_k
 
 
 def _build_set(hier, x: ExactRational, d: ExactRational) -> MinimalSet:
@@ -384,6 +418,13 @@ def _build_set(hier, x: ExactRational, d: ExactRational) -> MinimalSet:
        and so is hi. Every budget in [d, hi) walks to the same set, so
        by 1 no achievable total lies in (lo, hi): hi is the least
        achievable total above lo.
+
+    Each candidate is the total of a tuple the walk can name: (a) the
+    singleton m; (b) y joined to a tuple behind hi(inner), by induction;
+    (c) the one-step change behind t joined to m', or to p0'. The entry
+    keeps hi_k, the longest length among the candidates equal to hi, so
+    a tuple of hi_k components over [floor, 1] totals hi; Hierarchy's
+    bracket and next_below pool it.
 
     So the set stored for d answers exactly the budgets in [lo, hi).
     The table of x keeps one entry [lo, hi) per set, and the
@@ -447,11 +488,20 @@ def _tuples_at_lo(entry, expanded: dict) -> tuple[Keyed, ...]:
     return _extended(entry[5], at_lo)
 
 
-def _fold(best: dict, inner_best, y: ExactRational) -> None:
+def _fold(best: dict, same, shorter, y: ExactRational, alone: bool) -> None:
     """Raise best, which maps a length to a (length, num, den) triple, to
-    the triples of inner_best with 1/y added, each one length longer."""
+    the triples of same as they are, to those of shorter with 1/y added,
+    each one length longer, and, when alone, to the singleton sum 1/y."""
+    for k, sn, sd in same:
+        b = best.get(k)
+        if b is None or sn * b[2] > b[1] * sd:
+            best[k] = k, sn, sd
     yn, yd = y._numerator, y._denominator
-    for k, sn, sd in inner_best:
+    if alone:
+        b = best.get(1)
+        if b is None or yd * b[2] > b[1] * yn:
+            best[1] = 1, yd, yn
+    for k, sn, sd in shorter:
         n, d = sn * yn + sd * yd, sd * yn
         k += 1
         b = best.get(k)
@@ -460,42 +510,46 @@ def _fold(best: dict, inner_best, y: ExactRational) -> None:
 
 
 def _best(entry) -> tuple:
-    """The entry's best: folded from its visits on the first read, then
-    kept in the entry (see _BudgetTable)."""
+    """The entry's prefix sums: folded from its visits on the first read,
+    then kept in the entry (see _BudgetTable)."""
     best = entry[6]
     if best is None:
         folded: dict = {}
         for yk, inner in zip(entry[4][::2], entry[4][1::2]):
-            _fold(folded, _best(inner), yk[1])
+            inner_best = _best(inner)
+            _fold(folded, inner_best, inner_best, yk[1], True)
         best = entry[6] = tuple(folded.values())
     return best
 
 
 def _best_below_lo(entry, below: dict) -> tuple:
-    """For each length k, the largest reciprocal sum among the entry's
-    tuples of length k whose total is below lo, as triples like best's;
-    below, {} at first, caches inner entries' by id.
+    """For each length k, the largest reciprocal sum of the k smallest
+    components of a stored tuple, over the prefixes whose total is below
+    lo, as triples like best's; below, {} at first, caches inner entries'
+    by id.
 
-    A tuple lies below lo exactly when it extends a tuple below lo(inner)
-    through an at-lo visit, or any inner tuple through another visit; so
-    only the at-lo visits recurse, and the others read their inner best.
-    The empty entry's one stand-in tuple () sits at its lo, 0.
+    A prefix sits at lo only when it is a whole tuple at lo. A tuple
+    through an at-lo visit sits at lo exactly when it extends a tuple at
+    lo(inner), so only the at-lo visits recurse, for the prefixes that
+    hold y; the others, and those that skip y, read their inner best.
+    The empty entry's stand-in () is its one tuple, at its lo, 0.
     """
     at_lo = {id(yk) for yk in entry[5][::2]}
     best: dict = {}
     visits = entry[4]
     for yk, inner in zip(visits[::2], visits[1::2]):
+        inner_best = _best(inner)
         if id(yk) in at_lo:
             if id(inner) not in below:
                 below[id(inner)] = _best_below_lo(inner, below)
-            _fold(best, below[id(inner)], yk[1])
+            _fold(best, inner_best, below[id(inner)], yk[1], bool(inner[4]))
         else:
-            _fold(best, _best(inner), yk[1])
+            _fold(best, inner_best, inner_best, yk[1], True)
     return tuple(best.values())
 
 
 def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
-    """The entry [lo_n, lo_d, hi_n, hi_d, visits, at_lo, best, keyed] answering budget dn/dd."""
+    """The entry [lo_n, lo_d, hi_n, hi_d, visits, at_lo, best, keyed, hi_k] answering budget dn/dd."""
     x, delta = table.x, table.delta
     if dn < 0 or dn * x._denominator > x._numerator * dd:
         raise ConsistencyError(f"budget {dn}/{dd} left [0, {x}]")
@@ -511,29 +565,31 @@ def _minimal(hier, table: _BudgetTable, dn: int, dd: int):
 
 def _walk(hier, table: _BudgetTable, dn: int, dd: int):
     """The walk of xd_minimal at d = dn/dd >= delta: the entry
-    [lo_n, lo_d, hi_n, hi_d, visits, at_lo, None, None], the last two filled
-    when read. It steps through member records (Hierarchy._record): a
-    successor links its predecessor's."""
+    [lo_n, lo_d, hi_n, hi_d, visits, at_lo, None, None, hi_k], the two
+    Nones filled when read. It steps through member records
+    (Hierarchy._record): a successor links its predecessor's."""
     x = table.x
     xn, xd = x._numerator, x._denominator
     en, ed = table.delta._numerator, table.delta._denominator
     visits = []  # key of y, inner entry: for each visit
     at_lo = []  # the same, for each visit whose total is lo
     lo_n, lo_d = 0, 1
-    hi_n, hi_d = 1, 0  # +infinity until the first threshold
+    hi_n, hi_d, hi_k = 1, 0, 0  # +infinity until the first threshold
 
-    def lower_hi_by(tn, td, m):
-        """Lower hi to t + c(x, m), for a member m below a chosen component or p0'."""
-        nonlocal hi_n, hi_d
+    def lower_hi_by(tn, td, k, m):
+        """Lower hi to t + c(x, m), for a member m below a chosen component
+        or p0', t the total of a k-tuple."""
+        nonlocal hi_n, hi_d, hi_k
         if m is not None:
             mn, md = m._numerator, m._denominator
             cd = xd * mn
             tn, td = tn * cd + (xn * (md + mn) - cd) * td, td * cd
-            if tn * hi_d < hi_n * td:
-                hi_n, hi_d = tn, td
+            gap = tn * hi_d - hi_n * td
+            if gap < 0 or gap == 0 and k >= hi_k:
+                hi_n, hi_d, hi_k = tn, td, k + 1
 
     y, below = _smallest_with_contribution_at_most(hier, table, dn, dd)
-    lower_hi_by(0, 1, below)  # (a)
+    lower_hi_by(0, 1, 0, below)  # (a)
     rec = hier._record(y)
     prev_n, prev_d = 0, 1  # the last visited component; none yet, and y > 0
     while True:
@@ -550,7 +606,7 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
         if cn * ed < en * cd:  # c < delta, so d - c > d - delta
             raise ConsistencyError("recursive budget must drop by at least delta")
         rn, rd = dn * cd - cn * dd, dd * cd  # d - c, unreduced: gcd costs more than it saves
-        iln, ild, ihn, ihd, _, _, _, _ = entry = _minimal(hier, table, rn, rd)
+        iln, ild, ihn, ihd, _, _, _, _, ihk = entry = _minimal(hier, table, rn, rd)
         visits += yk, entry
         # the largest total through y: c(x, y) + lo(inner)
         tn, td = cn * ild + iln * cd, cd * ild
@@ -560,8 +616,9 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
         if gap >= 0:
             at_lo += yk, entry
         tn, td = cn * ihd + ihn * cd, cd * ihd  # (b)
-        if tn * hi_d < hi_n * td:
-            hi_n, hi_d = tn, td
+        gap = tn * hi_d - hi_n * td
+        if gap < 0 or gap == 0 and ihk >= hi_k:
+            hi_n, hi_d, hi_k = tn, td, ihk + 1
         cls = rec.cls or hier._classified(rec)
         prev_n, prev_d = yn, yd
         if cls is MAXIMAL:
@@ -573,18 +630,18 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
             # unreachable: p0' after inner's largest-total tuple gives lo(inner) + delta >= hi(inner) > r
             if t is None:
                 raise ConsistencyError(f"no one-step total above the inner budget {rn}/{rd}")
-            tn, td = t
+            tn, td, tk = t
             bn, bd = dn * td - tn * dd, dd * td  # d - t
             if bn * ed < en * bd:  # no member fits beside t
-                lower_hi_by(tn, td, table.p0_prime)  # (c): t + delta
+                lower_hi_by(tn, td, tk, table.p0_prime)  # (c): t + delta
                 break
             y, below = _smallest_with_contribution_at_most(hier, table, bn, bd)
-            lower_hi_by(tn, td, below)  # (c)
+            lower_hi_by(tn, td, tk, below)  # (c)
             rec = hier._record(y)
 
     g, h = gcd(lo_n, lo_d), gcd(hi_n, hi_d)
     return [lo_n // g, lo_d // g, hi_n // h, hi_d // h,
-            tuple(visits), tuple(at_lo), None, None]
+            tuple(visits), tuple(at_lo), None, None, hi_k]
 
 
 def prune_dominated(tuples) -> tuple[Components, ...]:

@@ -3,9 +3,11 @@
 Everything here recomputes answers from first principles, deliberately
 avoiding the package's own walk/recursion code paths: a closure
 enumeration over the base segment, an exhaustive/random allowed-tuple
-generator, an exact-rational LP feasibility decision for labelings, and
-the eager predecessor search the kernel's lazy one must agree with.
-Slower than the kernel by design; correctness over speed.
+generator, an exact-rational LP feasibility decision for labelings, the
+eager predecessor search the kernel's lazy one must agree with, and a
+bracket that climbs from the bottom of the level instead of reading the
+point's own minimal set. Slower than the kernel by design; correctness
+over speed.
 """
 
 from fractions import Fraction
@@ -162,6 +164,39 @@ def eager_predecessor(hier, x: Fraction) -> Fraction:
             if hier.classify(value) is not Classification.NOT_MEMBER:
                 return value
     raise AssertionError(f"no member candidate above successor {x}")
+
+
+def climb_bracket(hier, p: Fraction, strict: bool = False):
+    """The last member below p (< p if strict, else <= p) and the member
+    above it, by climbing from the member 1/(k+1) under p.
+
+    Only classify, predecessor and limit_sequence are asked: a successor
+    steps to its predecessor and a limit to the first term of its limit
+    sequence below p, never past p. The hierarchy is well ordered in
+    descending order, so the ascending climb ends. It classifies and
+    lowers every successor it passes on the way up, which is slow near 2/5.
+    """
+    def below(v):
+        return v < p if strict else v <= p
+
+    cur = F(1, p.denominator // p.numerator + 1)
+    while True:
+        if cur == p:
+            return cur, cur
+        cls = hier.classify(cur)
+        if cls is Classification.SUCCESSOR:
+            nxt = hier.predecessor(cur)
+            if not below(nxt):
+                return cur, nxt
+            cur = nxt
+        elif cls is Classification.LIMIT:
+            seq = hier.limit_sequence(cur)
+            k = 0
+            while not below(seq.term(k)):
+                k += 1
+            cur = seq.term(k)
+        else:
+            raise AssertionError(f"climb reached a non-member waypoint {cur}")
 
 
 def dominated_by_some(T, stored) -> bool:

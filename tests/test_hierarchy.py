@@ -17,21 +17,33 @@ from pfinhier import (
     Hierarchy,
     InputError,
     apply_rule,
+    contribution,
     h_inverse,
     parse_rational,
 )
 from pfinhier import hierarchy
 from pfinhier.hierarchy import _least_own_and_swaps
-from pfinhier.minimal_sets import _best_below_lo, _stripped, _tuples_at_lo, _xx_entry
+from pfinhier.minimal_sets import (
+    _best,
+    _best_below_lo,
+    _floored_table,
+    _minimal,
+    _stripped,
+    _tuples_at_lo,
+    _xx_entry,
+)
 
 from freeze_golden import GOLDEN
-from oracles import dominated_by_some, eager_predecessor, generates
+from oracles import climb_bracket, dominated_by_some, eager_predecessor, generates
 
 # rationals kept above the chain segment, where every query is cheap
 fast_zone = st.fractions(min_value=F(4, 9), max_value=F(1), max_denominator=120)
 # [5/12, 1/2) with denominators up to 30: the walk below 1/2, cheap when warm
 LOW_GRID = sorted(
     {F(n, d) for d in range(2, 31) for n in range(1, d) if F(5, 12) <= F(n, d) < F(1, 2)})
+# [16/39, 1/2) with denominators up to 60: down to the floor of cold 41/100
+CLIMB_GRID = sorted(
+    {F(n, d) for d in range(2, 61) for n in range(1, d) if F(16, 39) <= F(n, d) < F(1, 2)})
 
 
 def test_classify_frozen(hier):
@@ -437,6 +449,70 @@ def test_next_below_frozen(hier):
     assert hier.next_below(F(10, 23)) == F(96, 221)
     with pytest.raises(DomainError):
         hier.next_below(F(9, 10))
+
+
+def test_bracket_and_next_below_match_the_climb_oracle(hier):
+    # bracket and next_below start from a member read off the point's own
+    # entry; the oracle climbs from the bottom of the level on a Hierarchy
+    # of its own, asking only classify, predecessor and limit_sequence
+    oracle = Hierarchy(floor_level=4)
+    members = 0
+    for p in CLIMB_GRID:
+        assert hier.bracket(p) == climb_bracket(oracle, p), p
+        if hier.is_member(p):
+            members += 1
+            assert (hier.next_below(p), p) == climb_bracket(oracle, p, strict=True), p
+    assert (len(CLIMB_GRID), members) == (99, 44)
+
+
+def climb_start(hier, x):
+    """Where bracket or next_below starts its climb to x: the pool of the
+    longest hi candidate of x's entry, or the bottom of the stretch."""
+    if hier.classify(h_inverse(x)) is not Classification.NOT_MEMBER:
+        entry, bottom = _xx_entry(hier, x), apply_rule((hier.next_below(h_inverse(x)), x))
+    elif x == hier.segment_of(x).r_lo:
+        bottom = apply_rule((h_inverse(hier.segment_of(x).anchor_low), x))
+        entry = _minimal(hier, _floored_table(hier, x), x.numerator, x.denominator)
+    else:
+        entry, bottom = _xx_entry(hier, x), hier.segment_of(x).r_lo
+    hi, k = F(entry[2], entry[3]), entry[8]
+    assert hi > x and k >= 1
+    return max(bottom, k * x / (hi + k - x))
+
+
+def test_the_climb_starts_at_a_member_at_or_below_the_answer(hier):
+    # steps 1 to 3 of bracket's proof: the start is a member at or below the
+    # last member under x (<= x for a non-member, < x for next_below). On
+    # the grid it is that member, so the climb takes one step, but not at
+    # 306/727: hi comes from a pair, pooling to 210/499, and the member
+    # below is 117/278, the pool of a triple whose total lies above hi
+    points = CLIMB_GRID + [F(306, 727)]
+    exact = 0
+    for x in points:
+        start = climb_start(hier, x)
+        answer = hier.next_below(x) if hier.is_member(x) else hier.bracket(x)[0]
+        assert hier.is_member(start) and start <= answer < x, x
+        exact += start == answer
+    assert (len(points), exact) == (100, 99)
+    x, triple = F(306, 727), (F(26, 51), F(3, 5), F(2, 3))
+    assert climb_start(hier, x) == F(210, 499)
+    assert hier.bracket(x)[0] == F(117, 278) == apply_rule(triple)
+    entry = _xx_entry(hier, x)
+    assert sum(contribution(x, q) for q in triple) > F(entry[2], entry[3]) and entry[8] == 2
+
+
+def test_the_member_above_follows_from_the_prefix_sums(hier):
+    # the identity in bracket's docstring: above a non-member p the
+    # smallest member is min(r_hi, min over k of k/(k - 1 + P_k)), P_k the
+    # prefix sums of the (p, p) entry
+    outside = 0
+    for p in CLIMB_GRID:
+        if hier.is_member(p):
+            continue
+        outside += 1
+        pooled = [F(k * d, (k - 1) * d + n) for k, n, d in _best(_xx_entry(hier, p))]
+        assert min([hier.segment_of(p).r_hi, *pooled]) == hier.bracket(p)[1], p
+    assert outside == 55
 
 
 @pytest.mark.parametrize("level", range(1, 9))
