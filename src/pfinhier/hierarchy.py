@@ -14,15 +14,15 @@ finite, and every member above the floor edge 1/(L+1) has an immediate
 member below it. Only successors also have an immediate member above
 them (the predecessor); limit members are approached from above by
 computable strictly decreasing sequences. Below 1/2, bracket and
-next_below read a member at or below their answer off the point's own
-minimal-set entry, and climb from it through predecessors and limit
-sequences; being an ascending chain, the climb ends.
+next_below start from a member at or below their answer, found from the
+bottom of the point's segment and the point's own minimal-set entry, and
+climb from it through predecessors and limit sequences; being an
+ascending chain, the climb ends.
 
 All queries live on a Hierarchy object, which memoizes segments,
 governing floors, limit sequences, brackets and neighbors per instance.
 It also owns the minimal-set tables, one per x over the governing floor
-of x (and one over [x, 1] for a chain point x whose next member down is
-asked for), each set stored once for the whole interval of budgets that
+of x, each set stored once for the whole interval of budgets that
 yields it. A memoized limit sequence keeps every term it has computed.
 
 Its intern table, keyed on (numerator, denominator), holds one record
@@ -442,27 +442,33 @@ class Hierarchy:
     def bracket(self, p: ExactRational):
         """Largest member <= p and smallest member >= p.
 
-        Above 1/2, and at every 1/k, they are closed forms, and a member is
-        its own bracket. A non-member p below 1/2 lies inside a segment
-        [r_lo, r_hi) of the anchor [h(a), h(b)], where a < p/(1 - p) < b
-        are consecutive members. Its bracket is the last member L <= p and
-        the member above L, and the climb finds both from a member at or
-        below L that the (p, p) entry names:
+        Above 1/2, and at every 1/k, they are closed forms. An image of a
+        member is a member, hence its own bracket. Any other p below 1/2
+        lies in a segment [r_lo, r_hi) of the anchor [h(a), h(b)], where
+        a < p/(1 - p) < b are consecutive members. Its bracket is the last
+        member L <= p and the member above L, and a climb finds both from
+        a member at or below L:
 
-        1. A tuple W of members of [r_hi, a] that pools to v in (r_lo, p)
+        1. r_lo is a limit. Its limit sequence descends to it, so it has a
+           first term at or below p: a member at most L. If that term is
+           p, p is its own bracket, and p's minimal set is never walked.
+           At floor 4, 13/40 is such a term, of the sequence of 64/197;
+           the walk behind classify(13/40) nests the tables of ever more
+           thresholds and had not ended after a minute.
+        2. A tuple W of members of [r_hi, a] that pools to v in (r_lo, p)
            pools to a member. v lies in the anchor, so every component
            q <= a has a positive weight c(v, q), below 1 as q > v; W is a
            valid application (step 3 of predecessor).
-        2. A k-tuple whose contributions at p total s pools to
+        3. A k-tuple whose contributions at p total s pools to
            k p/(s + k - p): its reciprocals sum to (s + k(1 - p))/p. So it
            pools below p exactly when s > p.
-        3. The walk of the (p, p) entry sums hi, the least achievable
+        4. The walk of the (p, p) entry sums hi, the least achievable
            total above lo, as a candidate that is the total of a tuple
            over [r_hi, a] of length hi_k (minimal_sets._build_set, step
-           3). hi > p, so by 2 that tuple pools to
-           v0 = hi_k p/(hi + hi_k - p) < p, and by 1 the start
-           max(r_lo, v0) is a member at most L (_start_below).
-        4. From the start the climb steps to the predecessor of a
+           3). hi > p, so by 3 that tuple pools to
+           v0 = hi_k p/(hi + hi_k - p) < p, and by 2 the start, the larger
+           of v0 and the term of 1, is a member at most L (_start_below).
+        5. From the start the climb steps to the predecessor of a
            successor and into the limit sequence of a limit, never past p.
            The hierarchy is well ordered in descending order, so every
            ascending chain of members is finite and the climb ends, at L.
@@ -472,19 +478,8 @@ class Hierarchy:
         so a longer tuple whose total lies above hi can pool higher than
         hi's. At p = 306/727, hi is the total of a pair and v0 = 210/499,
         but L = 117/278 is the pool of (26/51, 3/5, 2/3). So the climb
-        checks v0, through its own (v0, v0) entry. bracket and next_below
-        on the 615 points of [16/39, 1/2) with denominator at most 150
-        climb 2,283 times, and 6 climbs go past their start; a cold
-        classify(81/200) climbs 691 times, 6 past the start. The climb
-        classifies no member between the bottom of the level and v0.
-
-        The smallest member >= p is also min(r_hi, min over k of
-        k/(k - 1 + P_k)), P_k the entry's prefix sums (minimal_sets): a
-        tuple over [r_hi, a] allowed at (p, p) pools at or above p by 2,
-        every tuple that pools at or above p is allowed, and, by the
-        cover property, the largest reciprocal sum of an allowed k-tuple
-        is P_k, since a prefix of a stored tuple is allowed. The climb
-        has that member already; tests check the identity.
+        checks the start, through its own entry. It classifies no member
+        between the bottom of the level and the start.
         """
         pn, pd = p._numerator, p._denominator
         if pn == 1:
@@ -497,11 +492,20 @@ class Hierarchy:
             if pd == 2 * pn - 1:  # p is n_star/(2*n_star - 1) itself
                 return f2, f2
             return self._member_of(n_star + 1, 2 * n_star + 1), f2
-        if self.classify(p) is not Classification.NOT_MEMBER:
-            p = self._member(p)
+        rec = self._record(p)
+        p = rec.key[1]
+        if rec.cls is not None and rec.cls is not Classification.NOT_MEMBER:
+            return p, p  # classified already
+        if self.classify(h_inverse(p)) is not Classification.NOT_MEMBER:
+            return p, p  # an image of a member
+        r_lo = self.segment_of(p).r_lo
+        if p == r_lo:
             return p, p
-        start = self._start_below(p, minimal_sets._xx_entry(self, p), self.segment_of(p).r_lo)
-        return self._climb(self._record(start), ascending_key(p), strict=False)
+        term = self._first_term(r_lo, rec.key.__ge__)
+        if term is rec:
+            return p, p  # a term of r_lo's limit sequence
+        start = self._start_below(p, minimal_sets._xx_entry(self, p), term.key[1])
+        return self._climb(self._record(start), rec.key, strict=False)
 
     def _start_below(self, x: ExactRational, entry, bottom: ExactRational) -> ExactRational:
         """max(bottom, K x/(hi + K - x)) for the (x, x) entry's hi and its
@@ -521,9 +525,9 @@ class Hierarchy:
 
         Climbs through predecessors and limit sequences, never past p;
         ascending chains of members are finite, so the climb ends. bracket
-        and next_below start it from a member read off p's own entry,
-        which can lie below the answer (see bracket): the climb certifies
-        that start, usually with one predecessor.
+        and next_below start it from a member that can lie below the
+        answer (see bracket): the climb certifies that start, usually with
+        one predecessor.
         """
         below = pk.__gt__ if strict else pk.__ge__
         while True:
@@ -537,13 +541,18 @@ class Hierarchy:
                     return cur, nxt.key[1]
                 rec = nxt
             elif cls is Classification.LIMIT:
-                seq = self.limit_sequence(cur)
-                k = 0
-                while not below(self._record(seq.term(k)).key):
-                    k += 1
-                rec = self._record(seq.term(k))
+                rec = self._first_term(cur, below)
             else:
                 raise ConsistencyError(f"climb reached a non-member waypoint {cur}")
+
+    def _first_term(self, limit: ExactRational, below) -> _Record:
+        """The record of the first term of limit's sequence whose key
+        satisfies below."""
+        seq = self.limit_sequence(limit)
+        k = 0
+        while not below(self._record(seq.term(k)).key):
+            k += 1
+        return self._record(seq.term(k))
 
     @memoized(_check)
     def next_below(self, u: ExactRational) -> ExactRational:
@@ -553,21 +562,20 @@ class Hierarchy:
         Above 1/2 it is the closed form (n+1)/(2n+1). Below, the members
         under u down to the next one that bounds a segment are the pools
         of tuples over [f, a], where f is the floor of that stretch and a
-        the member under u/(1 - u) (bracket, 1): so the climb of bracket,
-        strict this time, starts from the (u, u) entry over [f, 1]:
+        the member under u/(1 - u) (bracket, 2): so the climb of bracket,
+        strict this time, starts from the (u, u) entry over [f, 1] where
+        u's own table has that floor:
 
-        - inside a segment [r_lo, r_hi), u != r_lo: f = r_hi, u's own
-          entry, and the stretch ends at r_lo;
-        - at an image u = h(t): f = u, u's own entry again, since u
-          governs its own floor, and the stretch ends at pool(t', u), t'
-          the member below t;
-        - at a chain point u = r_lo: the segment below is [pool(a, u), u)
-          with floor u, one segment under the floor of u's own table; its
-          entry comes from the table of u over [u, 1]
-          (minimal_sets._floored_table).
+        - inside a segment [r_lo, r_hi), u != r_lo: f = r_hi, and the
+          stretch ends at r_lo;
+        - at an image u = h(t): f = u, since u governs its own floor, and
+          the stretch ends at pool(t', u), t' the member below t.
 
         u's entry totals exactly u at lo, and its hi lies above u, so the
-        start pools below u (bracket, 2 and 3).
+        start pools below u (bracket, 3 and 4). At a chain point u = r_lo
+        the segment below is [pool(a, u), u), with floor u, one segment
+        under the floor of u's own table, and the climb starts at its
+        bottom pool(a, u).
         """
         if self.classify(u) is Classification.NOT_MEMBER:
             raise DomainError(f"next_below needs a member, got {u}")
@@ -580,16 +588,13 @@ class Hierarchy:
         t = h_inverse(u)
         if self.classify(t) is not Classification.NOT_MEMBER:
             bottom = apply_rule((self.next_below(t), u))
-            entry = minimal_sets._xx_entry(self, u)
+            start = self._start_below(u, minimal_sets._xx_entry(self, u), bottom)
         else:
             seg = self.segment_of(u)
             if u == seg.r_lo:
-                bottom = apply_rule((h_inverse(seg.anchor_low), u))
-                entry = minimal_sets._minimal(self, minimal_sets._floored_table(self, u), n, den)
+                start = apply_rule((h_inverse(seg.anchor_low), u))
             else:
-                bottom = seg.r_lo
-                entry = minimal_sets._xx_entry(self, u)
-        start = self._start_below(u, entry, self._member(bottom))
+                start = self._start_below(u, minimal_sets._xx_entry(self, u), seg.r_lo)
         lo, hi = self._climb(self._record(start), ascending_key(u), strict=True)
         if hi != u:
             raise ConsistencyError(f"the member above next_below({u}) = {lo} is {hi}")

@@ -22,8 +22,7 @@ and the member records (_record, _classified, _lowered) through which
 the walk steps unguarded. Each handle keeps one budget table per x: the
 floor and (p0', delta) that every budget of that x shares, and each set
 found, stored once for the whole interval [lo, hi) of budgets that
-yields it (see _build_set); and, for a chain point x whose next member
-down is asked for, one more table of x over [x, 1] (_floored_table).
+yields it (see _build_set).
 
 The arithmetic is exact and integer-based: the walk keeps budgets,
 contributions and interval ends as integer numerator/denominator pairs
@@ -245,10 +244,12 @@ class _BudgetTable:
         self.lows.insert(i + 1, lo_n / lo_d)
 
 
-def _table_over(hier, x: ExactRational, floor: ExactRational) -> _BudgetTable:
-    """A new table of x over [floor, 1], with (p0', delta): the largest
-    member of [floor, 1] with strictly positive contribution, and that
-    contribution, the least any component adds."""
+@memoized(lambda hier, x: None)  # its callers have guarded x
+def _budget_table(hier, x: ExactRational) -> _BudgetTable:
+    """The table of x over [floor, 1], floor its governing floor, with
+    (p0', delta): the largest member of [floor, 1] with strictly positive
+    contribution, and that contribution, the least any component adds."""
+    floor = hier.governing_floor(x)
     xn, xd = x.numerator, x.denominator
     if 2 * xn > xd:  # x == 1 or x/(1-x) > 1
         p0p = ONE
@@ -262,19 +263,6 @@ def _table_over(hier, x: ExactRational, floor: ExactRational) -> _BudgetTable:
     if delta <= 0:
         raise ConsistencyError(f"delta must be positive, got {delta}")
     return _BudgetTable(x, floor, p0p, delta)
-
-
-@memoized(lambda hier, x: None)  # its callers have guarded x
-def _budget_table(hier, x: ExactRational) -> _BudgetTable:
-    """The table of x over [floor, 1], floor its governing floor."""
-    return _table_over(hier, x, hier.governing_floor(x))
-
-
-@memoized(lambda hier, x: None)  # its callers have guarded x
-def _floored_table(hier, x: ExactRational) -> _BudgetTable:
-    """The table of the chain point x over [x, 1]: the floor of the
-    segment below x, one segment under x's governing floor."""
-    return _table_over(hier, x, x)
 
 
 def _smallest_with_contribution_at_most(hier, table: _BudgetTable, bn: int, bd: int):

@@ -21,13 +21,10 @@ from pfinhier import (
     h_inverse,
     parse_rational,
 )
-from pfinhier import hierarchy
+from pfinhier import hierarchy, minimal_sets
 from pfinhier.hierarchy import _least_own_and_swaps
 from pfinhier.minimal_sets import (
-    _best,
     _best_below_lo,
-    _floored_table,
-    _minimal,
     _stripped,
     _tuples_at_lo,
     _xx_entry,
@@ -467,12 +464,15 @@ def test_bracket_and_next_below_match_the_climb_oracle(hier):
 
 def climb_start(hier, x):
     """Where bracket or next_below starts its climb to x: the pool of the
-    longest hi candidate of x's entry, or the bottom of the stretch."""
-    if hier.classify(h_inverse(x)) is not Classification.NOT_MEMBER:
+    longest hi candidate of x's entry, or the member it is known above."""
+    if not hier.is_member(x):
+        seq = hier.limit_sequence(hier.segment_of(x).r_lo)
+        bottom = next(seq.term(k) for k in range(10**6) if seq.term(k) <= x)
+        entry = _xx_entry(hier, x)
+    elif hier.classify(h_inverse(x)) is not Classification.NOT_MEMBER:
         entry, bottom = _xx_entry(hier, x), apply_rule((hier.next_below(h_inverse(x)), x))
     elif x == hier.segment_of(x).r_lo:
-        bottom = apply_rule((h_inverse(hier.segment_of(x).anchor_low), x))
-        entry = _minimal(hier, _floored_table(hier, x), x.numerator, x.denominator)
+        return apply_rule((h_inverse(hier.segment_of(x).anchor_low), x))
     else:
         entry, bottom = _xx_entry(hier, x), hier.segment_of(x).r_lo
     hi, k = F(entry[2], entry[3]), entry[8]
@@ -481,11 +481,12 @@ def climb_start(hier, x):
 
 
 def test_the_climb_starts_at_a_member_at_or_below_the_answer(hier):
-    # steps 1 to 3 of bracket's proof: the start is a member at or below the
+    # steps 1 to 4 of bracket's proof: the start is a member at or below the
     # last member under x (<= x for a non-member, < x for next_below). On
-    # the grid it is that member, so the climb takes one step, but not at
-    # 306/727: hi comes from a pair, pooling to 210/499, and the member
-    # below is 117/278, the pool of a triple whose total lies above hi
+    # the grid it is that member, except at the chain points 16/39, 8/19
+    # and 4/9, whose climbs start at the bottom of the segment below them,
+    # and at 306/727: hi comes from a pair, pooling to 210/499, and the
+    # member below is 117/278, the pool of a triple whose total lies above hi
     points = CLIMB_GRID + [F(306, 727)]
     exact = 0
     for x in points:
@@ -493,7 +494,7 @@ def test_the_climb_starts_at_a_member_at_or_below_the_answer(hier):
         answer = hier.next_below(x) if hier.is_member(x) else hier.bracket(x)[0]
         assert hier.is_member(start) and start <= answer < x, x
         exact += start == answer
-    assert (len(points), exact) == (100, 99)
+    assert (len(points), exact) == (100, 96)
     x, triple = F(306, 727), (F(26, 51), F(3, 5), F(2, 3))
     assert climb_start(hier, x) == F(210, 499)
     assert hier.bracket(x)[0] == F(117, 278) == apply_rule(triple)
@@ -501,18 +502,25 @@ def test_the_climb_starts_at_a_member_at_or_below_the_answer(hier):
     assert sum(contribution(x, q) for q in triple) > F(entry[2], entry[3]) and entry[8] == 2
 
 
-def test_the_member_above_follows_from_the_prefix_sums(hier):
-    # the identity in bracket's docstring: above a non-member p the
-    # smallest member is min(r_hi, min over k of k/(k - 1 + P_k)), P_k the
-    # prefix sums of the (p, p) entry
-    outside = 0
-    for p in CLIMB_GRID:
-        if hier.is_member(p):
-            continue
-        outside += 1
-        pooled = [F(k * d, (k - 1) * d + n) for k, n, d in _best(_xx_entry(hier, p))]
-        assert min([hier.segment_of(p).r_hi, *pooled]) == hier.bracket(p)[1], p
-    assert outside == 55
+def test_bracket_of_a_limit_term_walks_no_set_of_its_own(monkeypatch):
+    # step 1 of bracket's proof: at floor 4, 13/40 is a term of the limit
+    # sequence of its segment's bottom 64/197, so bracket answers without
+    # walking the minimal set of 13/40, whose thresholds nest for minutes;
+    # the oracle is the climb from the bottom of the level
+    walk, walks = minimal_sets._walk, []
+
+    def counted(hier, table, dn, dd):
+        walks.append(table.x)
+        assert len(walks) <= 100, "bracket(13/40) walks without bound"
+        return walk(hier, table, dn, dd)
+
+    monkeypatch.setattr(minimal_sets, "_walk", counted)
+    cold, p = Hierarchy(floor_level=4), F(13, 40)
+    assert cold.segment_of(p).r_lo == F(64, 197)
+    assert cold.bracket(p) == (p, p)
+    assert p not in walks and len(walks) == 13
+    monkeypatch.setattr(minimal_sets, "_walk", walk)
+    assert climb_bracket(Hierarchy(floor_level=4), p) == (p, p)
 
 
 @pytest.mark.parametrize("level", range(1, 9))
