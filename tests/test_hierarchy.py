@@ -505,8 +505,9 @@ def test_the_climb_starts_at_a_member_at_or_below_the_answer(hier):
 def test_bracket_of_a_limit_term_walks_no_set_of_its_own(monkeypatch):
     # step 1 of bracket's proof: at floor 4, 13/40 is a term of the limit
     # sequence of its segment's bottom 64/197, so bracket answers without
-    # walking the minimal set of 13/40, whose thresholds nest for minutes;
-    # the oracle is the climb from the bottom of the level
+    # walking the minimal set of 13/40, whose walk nests the sets of its
+    # thresholds and had not ended after a minute; the oracle is the climb
+    # from the bottom of the level
     walk, walks = minimal_sets._walk, []
 
     def counted(hier, table, dn, dd):
