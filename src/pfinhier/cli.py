@@ -3,8 +3,10 @@
 One verb per query family; results go to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 domain error (e.g. predecessor of a limit
 element), 2 argument or parse error, 3 query below the constructed
-floor. Internal consistency failures are allowed to escape with a
-traceback; they indicate a bug, not a usage error.
+floor, 141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE
+ended) when the reader closes stdout early, as `| head` does; that
+exit prints nothing. Internal consistency failures are allowed to
+escape with a traceback; they indicate a bug, not a usage error.
 
 Counts are bounded: limit-seq --take and the count of enum must lie in
 [1, MAX_COUNT] (10,000), so a mistyped count is refused with exit 2
@@ -25,6 +27,7 @@ validated the same way whatever the verb.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -341,8 +344,20 @@ def main(argv=None) -> int:
         return _EXIT_CODES[type(exc)]
 
 
+# exit code when the reader closes stdout early
+EXIT_BROKEN_PIPE = 141
+
+
 def entry_point() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the Python docs (signal module, "Note on SIGPIPE"):
+        # stdout goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,14 @@ hierarchy member at or above x.
 
 The funding analysis lives in `g_function` (single follower mass) and
 `g_prime` (best split of a follower mass), both exact over rationals.
+
+Above 1/2 a context is a closed form: its pool is the ladder of base
+members from p0 up to 1, and no minimal set is walked (see make_context).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import ConsistencyError, DomainError, InputError
@@ -57,6 +62,12 @@ class SimulationContext:
     def base(self) -> bool:
         return self.p0 > HALF
 
+    @cached_property
+    def ranked(self):
+        """funding by value per cost, best first: the order that g_prime's
+        (i, budget) memo keys index."""
+        return sorted(self.funding, key=lambda it: it[1] / it[0], reverse=True)
+
 
 def _funding_items(hier, x, p0, P_prime, p0_upper_pred):
     # Row q is reachable while the re-normalized target stays below the
@@ -84,11 +95,35 @@ def _funding_items(hier, x, p0, P_prime, p0_upper_pred):
 def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
     """Assemble the simulation context for success level x.
 
-    x need not be a hierarchy member; p0 rounds it up to one."""
+    x need not be a hierarchy member; p0 rounds it up to one. P_prime is
+    the pool of the (x, x)-minimal set P and p0_upper its p0'. Above 1/2
+    both are closed forms, so P is not walked: for p0 = n/(2n - 1),
+    P_prime is n/(2n - 1), (n - 1)/(2n - 3), ..., 2/3, 1, every member in
+    [p0, 1], and p0_upper = 1.
+
+    - Every contribution c(x, q) = x/q + x - 1 is positive for q <= 1,
+      as x > 1/2; so p0' = 1, the largest member of [floor, 1].
+    - A stored tuple is (x, x)-allowed: its contributions are positive
+      and total at most x, so each is at most x, and c(x, q) <= x gives
+      q >= x. Its components are members, so each is at least p0.
+    - Every member q in [p0, 1] is a component: the walk at budget x
+      starts at p0, the least member with c(x, q) <= x, and steps up
+      through predecessors to 1, as every member above 1/2 but 1 is a
+      successor. It extends each tuple of the inner set at x - c(x, q),
+      or the empty tuple, by q. Each walk ends at 1, so by induction the
+      set at any budget b holds (1, ..., 1) with floor(b/(2x - 1)) 1s
+      (the empty tuple when there are none): (q, 1, ..., 1) is a tuple
+      of P for each member q >= p0.
+    """
     _, p0 = hier.bracket(x)
-    P = hier.xd_minimal(x, x)
-    P_prime = component_pool(P)
-    p0_upper = P.p0_prime
+    if p0 > HALF:
+        n = p0.numerator
+        P_prime = tuple(hier._member_of(m, 2 * m - 1) for m in range(n, 0, -1))
+        p0_upper = ONE
+    else:
+        P = hier.xd_minimal(x, x)
+        P_prime = component_pool(P)
+        p0_upper = P.p0_prime
     if p0_upper == ONE:
         p0_upper_pred = None
     else:
@@ -127,14 +162,10 @@ def _g_row(ctx: SimulationContext, r: ExactRational):
         raise ConsistencyError(f"funded target {y} escaped the reserve row for x={x}")
     if y == ctx.p0_upper_pred:
         return ZERO, None
-    row = None
-    for q in ctx.P_prime:
-        if q <= y:
-            row = q
-        else:
-            break
-    if row is None:
+    i = bisect_right(ctx.P_prime, y)  # P_prime ascends
+    if i == 0:
         return ZERO, None
+    row = ctx.P_prime[i - 1]
     return contribution(ctx.p0, row), row
 
 
@@ -158,7 +189,7 @@ def g_prime(ctx: SimulationContext, r: ExactRational) -> ExactRational:
         raise InputError(f"follower mass {r} outside [0, {ctx.x}]")
     if r == 0:
         return ZERO
-    items = sorted(ctx.funding, key=lambda it: it[1] / it[0], reverse=True)
+    items = ctx.ranked
     memo = ctx._gp_memo
 
     def best(i: int, budget: ExactRational) -> ExactRational:
@@ -185,10 +216,11 @@ def g_prime(ctx: SimulationContext, r: ExactRational) -> ExactRational:
 
 # ---- team sizes ----
 
-def _modulus(a: ExactRational, m: int) -> int:
-    # Least M such that a*k is a multiple of m whenever M divides k.
-    target = a.denominator * m
-    return target // gcd(a.numerator, target)
+def _modulus(n: int, d: int, m: int) -> int:
+    # Least M such that (n/d)*k is a multiple of m whenever M divides k:
+    # d*m divides n*k, so n/d need not be in lowest terms.
+    target = d * m
+    return target // gcd(n, target)
 
 
 def _closure_size(ctx: SimulationContext, k: int, size) -> int:
@@ -200,11 +232,12 @@ def _closure_size(ctx: SimulationContext, k: int, size) -> int:
     """
     for _, value, _ in ctx.funding:
         k = lcm(k, value.denominator)
+    pn, pd = ctx.p0.numerator, ctx.p0.denominator
     for q in reversed(ctx.P_prime):
         if q != ctx.x:
-            k = lcm(k, _modulus(ctx.p0 / q, size(q)))
+            k = lcm(k, _modulus(pn * q.denominator, pd * q.numerator, size(q)))
     if ctx.p0_upper_pred is not None:
-        k = lcm(k, _modulus(ONE - ctx.p0, size(ctx.p0_upper_pred)))
+        k = lcm(k, _modulus(pd - pn, pd, size(ctx.p0_upper_pred)))
     return k
 
 

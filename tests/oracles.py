@@ -6,7 +6,8 @@ enumeration over the base segment, an exhaustive/random allowed-tuple
 generator, an exact-rational LP feasibility decision for labelings, the
 eager predecessor search the kernel's lazy one must agree with, and a
 bracket that climbs from the bottom of the level instead of reading the
-point's own minimal set. Slower than the kernel by design; correctness
+point's own minimal set, and a team simulation context assembled from
+the walked (x, x)-minimal set at every x. Slower than the kernel by design; correctness
 over speed.
 """
 
@@ -15,6 +16,8 @@ from heapq import heapify, heappop
 from itertools import combinations_with_replacement
 
 from pfinhier import Classification, apply_rule, contribution, is_valid_application
+from pfinhier.minimal_sets import component_pool
+from pfinhier.teams import _funding_items
 from pfinhier.trees import iter_nodes, leaf_paths
 
 F = Fraction
@@ -197,6 +200,17 @@ def climb_bracket(hier, p: Fraction, strict: bool = False):
             cur = seq.term(k)
         else:
             raise AssertionError(f"climb reached a non-member waypoint {cur}")
+
+
+def walked_context(hier, x: Fraction) -> tuple:
+    """make_context's (x, p0, P_prime, p0_upper, p0_upper_pred, funding)
+    the general way, also above 1/2: P_prime the pool of the walked
+    (x, x)-minimal set and p0_upper its p0'."""
+    _, p0 = hier.bracket(x)
+    P = hier.xd_minimal(x, x)
+    P_prime = component_pool(P)
+    pred = None if P.p0_prime == ONE else hier.predecessor(P.p0_prime)
+    return x, p0, P_prime, P.p0_prime, pred, _funding_items(hier, x, p0, P_prime, pred)
 
 
 def dominated_by_some(T, stored) -> bool:

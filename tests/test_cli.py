@@ -103,6 +103,17 @@ def test_each_verb_imports_only_what_it_runs():
     assert modules_loaded_by("ord-eval", "w") - {"dataclasses"} == {"pfinhier.ordinals"}
 
 
+def test_closed_pipe_exits_quietly():
+    # a reader gone before the first write, as after `| head`: no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    done = subprocess.run([sys.executable, "-m", "pfinhier.cli", "enum", "1/2", "1", "20"],
+                          env=dict(os.environ, PYTHONPATH=SRC), stdout=write_end,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0 and out == "pfinhier 0.1.0\n"

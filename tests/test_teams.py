@@ -20,7 +20,10 @@ from pfinhier import (
     team_size,
     validate_labeling,
 )
+from pfinhier import minimal_sets
 from pfinhier.teams import MachineTrace, _allocation_team_size
+
+from oracles import walked_context
 
 
 def test_context_fields(hier):
@@ -74,6 +77,39 @@ def test_allocation_sizes(hier):
     assert _allocation_team_size(hier, F(6, 11)) == 110
     assert _allocation_team_size(hier, F(1, 2)) == 4
     assert _allocation_team_size(hier, F(12, 25)) == 25
+
+
+@pytest.mark.parametrize("floor", [2, 4])
+def test_contexts_above_half_match_the_walked_set(floor):
+    # above 1/2 make_context reads its pool and p0' off a closed form; the
+    # walked (x, x)-minimal set must give the same context everywhere
+    h = Hierarchy(floor_level=floor)
+    points = {F(a, b) for b in range(1, 121) for a in range(b // 2 + 1, b + 1)}
+    assert len(points) == 2193
+    for x in sorted(points):
+        c = make_context(h, x)
+        fields = (c.x, c.p0, c.P_prime, c.p0_upper, c.p0_upper_pred, c.funding)
+        assert fields == walked_context(h, x), x
+
+
+def test_star_contexts_walk_no_minimal_set(monkeypatch):
+    # the 96-leaf star funds a row of every base member from 96/191 to 1;
+    # each row's context walked its own minimal set, 4,656 walks in all
+    walks = []
+    real_walk = minimal_sets._walk
+
+    def recorded(hier, table, dn, dd):
+        walks.append(table.x)
+        return real_walk(hier, table, dn, dd)
+
+    monkeypatch.setattr(minimal_sets, "_walk", recorded)
+    h = Hierarchy(floor_level=4)
+    tree = parse_tree("(" + "()" * 96 + ")")
+    lab = rational_labeling(tree)
+    alloc = simulate_team(make_context(h, lab.p), MachineTrace(tree=tree, labeling=lab))
+    assert alloc.k == 1430046356193630062116189594785722721150
+    assert team_size(h, F(96, 191)) == 191
+    assert walks == []
 
 
 def test_team_caches_stay_per_hierarchy():
