@@ -2,10 +2,11 @@
 
 One verb per query family; results go to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 domain error (e.g. predecessor of a limit
-element), 2 argument or parse error, 3 query below the constructed
-floor, 141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE
-ended) when the reader closes stdout early, as `| head` does; that
-exit prints nothing. Internal consistency failures are allowed to
+element), 2 argument or parse error, a probability outside (0, 1]
+included, whatever the verb, 3 query below the constructed floor, 141
+(128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) when
+the reader closes stdout early, as `| head` does; that exit prints
+nothing. Internal consistency failures are allowed to
 escape with a traceback; they indicate a bug, not a usage error.
 
 Counts are bounded: limit-seq --take and the count of enum must lie in

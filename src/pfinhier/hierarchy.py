@@ -19,11 +19,11 @@ bottom of the point's segment and the point's own minimal-set entry, and
 climb from it through predecessors and limit sequences; being an
 ascending chain, the climb ends.
 
-All queries live on a Hierarchy object, which memoizes segments,
-governing floors, limit sequences, brackets and neighbors per instance.
-It also owns the minimal-set tables, one per x over the governing floor
-of x, each set stored once for the whole interval of budgets that
-yields it. A memoized limit sequence keeps every term it has computed.
+All queries live on a Hierarchy object, which memoizes segments, limit
+sequences, brackets and neighbors per instance. It also owns the
+minimal-set tables, one per x over the governing floor of x, each set
+stored once for the whole interval of budgets that yields it. A
+memoized limit sequence keeps every term it has computed.
 
 Its intern table, keyed on (numerator, denominator), holds one record
 per value: its sort key (float, value), built once, and, once worked
@@ -44,7 +44,7 @@ from math import gcd
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
 from .memo import memoized
-from .rationals import ExactRational, HALF, ONE, ZERO, ascending_key
+from .rationals import ExactRational, HALF, ONE, ZERO, ascending_key, require_exact
 from .minimal_sets import Classification, reciprocal_sum
 from .rules import apply_rule, h_inverse, h_map, is_valid_application
 
@@ -239,7 +239,7 @@ class Hierarchy:
 
     # ---- segments ----
 
-    @memoized(_check)
+    @memoized
     def segment_of(self, x: ExactRational) -> Segment:
         if x >= HALF:
             raise DomainError(f"segments exist below 1/2 only, got {x}")
@@ -257,9 +257,9 @@ class Hierarchy:
                 return Segment(a_low, r_lo, r_hi)
             r_hi = r_lo
 
-    @memoized(_check)
     def governing_floor(self, x: ExactRational) -> ExactRational:
         """Lower bound for components of any rule application reaching x."""
+        self._check(x)
         if x >= HALF:
             return self.bracket(x)[1]
         if self.classify(h_inverse(x)) is not Classification.NOT_MEMBER:
@@ -384,7 +384,7 @@ class Hierarchy:
 
     # ---- limit sequences ----
 
-    @memoized(_check)
+    @memoized
     def limit_sequence(self, x: ExactRational) -> LimitSequence:
         if self.classify(x) is not Classification.LIMIT:
             raise DomainError(f"limit sequences exist for limit elements only, got {x}")
@@ -438,7 +438,7 @@ class Hierarchy:
 
     # ---- bracketing and neighbors ----
 
-    @memoized(_check)
+    @memoized
     def bracket(self, p: ExactRational):
         """Largest member <= p and smallest member >= p.
 
@@ -482,16 +482,13 @@ class Hierarchy:
         between the bottom of the level and the start.
         """
         pn, pd = p._numerator, p._denominator
-        if pn == 1:
-            # every 1/k is a member: 1, 1/2, and the images of 1/(k-1)
+        if pn == 1 or pd == 2 * pn - 1:
+            # members in closed form: every 1/k (1, 1/2, and the images of
+            # 1/(k-1)) and every n/(2n - 1)
             p = self._member(p)
             return p, p
         if 2 * pn > pd:  # p > 1/2
-            n_star = pn // (2 * pn - pd)  # floor(p / (2p - 1))
-            f2 = self._member_of(n_star, 2 * n_star - 1)
-            if pd == 2 * pn - 1:  # p is n_star/(2*n_star - 1) itself
-                return f2, f2
-            return self._member_of(n_star + 1, 2 * n_star + 1), f2
+            return self._around(pn, pd)
         rec = self._record(p)
         p = rec.key[1]
         if rec.cls is not None and rec.cls is not Classification.NOT_MEMBER:
@@ -506,6 +503,21 @@ class Hierarchy:
             return p, p  # a term of r_lo's limit sequence
         start = self._start_below(p, minimal_sets._xx_entry(self, p), term.key[1])
         return self._climb(self._record(start), rec.key, strict=False)
+
+    def _around(self, n: int, d: int):
+        """The largest member below n/d and the least member at or above
+        it, for n/d in (0, 1], not necessarily in lowest terms.
+
+        Above 1/2 the members are m/(2m - 1): the least at or above n/d
+        has m = floor(n/(2n - d)), and (m + 1)/(2m + 1) lies below it
+        whether or not n/d is a member, so no Fraction is built and no
+        memo entry made.
+        """
+        if 2 * n > d:
+            m = n // (2 * n - d)
+            return self._member_of(m + 1, 2 * m + 1), self._member_of(m, 2 * m - 1)
+        below, y = self.bracket(ExactRational(n, d))
+        return (self.next_below(y) if below == y else below), y
 
     def _start_below(self, x: ExactRational, entry, bottom: ExactRational) -> ExactRational:
         """max(bottom, K x/(hi + K - x)) for the (x, x) entry's hi and its
@@ -554,7 +566,7 @@ class Hierarchy:
             k += 1
         return self._record(seq.term(k))
 
-    @memoized(_check)
+    @memoized
     def next_below(self, u: ExactRational) -> ExactRational:
         """The member immediately below u; total on members except the
         floor edge 1/(L+1), whose neighbor lies under the floor (FloorError).
@@ -610,8 +622,10 @@ class Hierarchy:
         with budget to spare, the remainder is filled from b downward.
         The result is complete whenever fewer than max_count members exist.
         """
-        if not (ZERO < a <= b <= ONE):
+        if not (ZERO < require_exact(a) <= require_exact(b) <= ONE):
             raise InputError(f"need 0 < a <= b <= 1, got [{a}, {b}]")
+        if isinstance(max_count, bool) or not isinstance(max_count, int):
+            raise InputError(f"max_count must be an int, got {type(max_count).__name__}")
         if max_count < 0:
             raise InputError(f"max_count must be nonnegative: {max_count}")
         if max_count == 0:

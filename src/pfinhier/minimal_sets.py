@@ -16,13 +16,14 @@ recurses on the remaining budget; at a limit component it asks
 find_smallest for the least total above the inner budget among one-step
 changes of the inner set's tuples, and jumps past it.
 
-Functions take the hierarchy handle explicitly; it must provide bracket,
-next_below, governing_floor, its interned members (_member, _member_of)
-and the member records (_record, _classified, _lowered) through which
-the walk steps unguarded. Each handle keeps one budget table per x: the
-floor and (p0', delta) that every budget of that x shares, and each set
-found, stored once for the whole interval [lo, hi) of budgets that
-yields it (see _build_set).
+Functions take the hierarchy handle explicitly; it must provide _around
+(the members on either side of a threshold), next_below,
+governing_floor, its interned members (_member) and the member records
+(_record, _classified, _lowered) through which the walk steps
+unguarded. Each handle keeps one budget table per x: the floor and
+(p0', delta) that every budget of that x shares, and each set found,
+stored once for the whole interval [lo, hi) of budgets that yields it
+(see _build_set).
 
 The arithmetic is exact and integer-based: the walk keeps budgets,
 contributions and interval ends as integer numerator/denominator pairs
@@ -244,7 +245,7 @@ class _BudgetTable:
         self.lows.insert(i + 1, lo_n / lo_d)
 
 
-@memoized(lambda hier, x: None)  # its callers have guarded x
+@memoized
 def _budget_table(hier, x: ExactRational) -> _BudgetTable:
     """The table of x over [floor, 1], floor its governing floor, with
     (p0', delta): the largest member of [floor, 1] with strictly positive
@@ -254,9 +255,7 @@ def _budget_table(hier, x: ExactRational) -> _BudgetTable:
     if 2 * xn > xd:  # x == 1 or x/(1-x) > 1
         p0p = ONE
     else:
-        t = ExactRational(xn, xd - xn)
-        f1, _ = hier.bracket(t)
-        p0p = hier.next_below(t) if f1 == t else f1
+        p0p, _ = hier._around(xn, xd - xn)  # the last member below x/(1-x)
         if p0p < floor:
             raise ConsistencyError(f"no positive contribution above floor {floor} for x={x}")
     delta = contribution(x, p0p)
@@ -271,10 +270,6 @@ def _smallest_with_contribution_at_most(hier, table: _BudgetTable, bn: int, bd: 
     are the table's.
 
     The walk asks only for bounds of at least delta, which p0' meets.
-    Above 1/2 the members are n/(2n - 1), so a threshold tn/a > 1/2 has
-    y = n*/(2n* - 1) with n* = floor(tn / (2tn - a)), and the member
-    below y is (n* + 1)/(2n* + 1) whether or not the threshold is y:
-    both come from integers, with no Fraction and no bracket.
     """
     x, floor = table.x, table.floor
     xn, xd = x._numerator, x._denominator
@@ -287,13 +282,7 @@ def _smallest_with_contribution_at_most(hier, table: _BudgetTable, bn: int, bd: 
     if fn * a >= tn * fd:
         # every member from the floor up fits; none below it counts
         return hier._member(floor), None
-    if 2 * tn > a:  # the threshold exceeds 1/2
-        n = tn // (2 * tn - a)
-        y, below = hier._member_of(n, 2 * n - 1), hier._member_of(n + 1, 2 * n + 1)
-    else:
-        below, y = hier.bracket(ExactRational(tn, a))
-        if below == y:  # the threshold is a member
-            below = hier.next_below(y)
+    below, y = hier._around(tn, a)
     fits = below._numerator * fd >= fn * below._denominator
     return y, (below if fits else None)
 
@@ -339,10 +328,9 @@ def _next_total(hier, table: _BudgetTable, keyed: tuple[Keyed, ...], rn: int, rd
             pn, pd = p._numerator, p._denominator
             if pn * fd == fn * pd:  # the member below the floor lies under it
                 continue
+            # the floor is a member below p, so q = next_below(p) >= floor
             q = next_below(p)
             qn, qd = q._numerator, q._denominator
-            if qn * fd < fn * qd:  # q < floor
-                continue
             # swap 1/p for 1/q in the reciprocal sum
             wn = (sn * pn - sd * pd) * qn + sd * pn * qd
             wd = sd * pn * qn

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError, InputError
-from .rationals import HALF, ZERO, ExactRational
+from .rationals import HALF, ONE, ZERO, ExactRational, require_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,12 +335,15 @@ def alpha_at(x: ExactRational) -> Ordinal:
 
     Supported: x = n/(2n-1) (value n), x = 1/2 (value w), images of
     supported points under p -> p/(1+p) (value w^(previous)), and the two
-    tabulated constants 4/9 and 3/7. Anything else raises DomainError,
-    and so does an image more than MAX_NESTING shifts deep: each shift
-    nests one exponent, and parse_ordinal reads no deeper.
+    tabulated constants 4/9 and 3/7. A value outside (0, 1] raises
+    InputError; any other unsupported point raises DomainError, and so
+    does an image more than MAX_NESTING shifts deep: each shift nests one
+    exponent, and parse_ordinal reads no deeper.
     """
+    if not (ZERO < require_exact(x) <= ONE):
+        raise InputError(f"probability out of (0, 1]: {x}")
     point, shifts = x, 0
-    while x not in ALPHA_TABLE and ZERO < x < HALF:
+    while x not in ALPHA_TABLE and x < HALF:
         if shifts == MAX_NESTING:
             raise DomainError(
                 f"order type at {point} needs more than {MAX_NESTING} shifts p -> p/(1+p)"
@@ -349,7 +352,7 @@ def alpha_at(x: ExactRational) -> Ordinal:
         shifts += 1
     if x in ALPHA_TABLE:
         value = ALPHA_TABLE[x]
-    elif 0 < x <= 1 and x.denominator == 2 * x.numerator - 1:
+    elif x.denominator == 2 * x.numerator - 1:
         value = from_int(x.numerator)
     elif x == HALF:
         value = OMEGA

@@ -41,6 +41,18 @@ def ascending_key(value: ExactRational):
     return value._numerator / value._denominator, value
 
 
+def require_exact(value) -> ExactRational:
+    """value itself if it is an exact rational; InputError otherwise.
+
+    Floats and bools compare equal to rationals (0.5 == 1/2, True == 1),
+    so only a type check keeps them out of exact arithmetic. Hierarchy's
+    guard makes the same check inline, ahead of every memo lookup.
+    """
+    if not isinstance(value, ExactRational):
+        raise InputError(f"expected an exact rational, got {type(value).__name__}")
+    return value
+
+
 def parse_rational(text: str) -> ExactRational:
     """Parse "a/b", an integer literal, or a decimal literal, exactly.
 

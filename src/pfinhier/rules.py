@@ -18,7 +18,7 @@ walk and the predecessor search sum in integers themselves.
 from collections.abc import Sequence
 
 from .errors import ConsistencyError, InputError
-from .rationals import ExactRational, HALF, ONE, ZERO
+from .rationals import ExactRational, HALF, ONE, ZERO, require_exact
 
 
 def apply_rule(components: Sequence[ExactRational]) -> ExactRational:
@@ -73,13 +73,13 @@ def contribution(x: ExactRational, p: ExactRational) -> ExactRational:
 
 def h_map(p: ExactRational) -> ExactRational:
     """Level-shift map p -> p/(1+p), carrying level n onto level n+1."""
-    if not (ZERO < p <= ONE):
+    if not (ZERO < require_exact(p) <= ONE):
         raise InputError(f"h_map argument out of (0,1]: {p}")
     return p / (ONE + p)
 
 
 def h_inverse(x: ExactRational) -> ExactRational:
     """Inverse level shift x -> x/(1-x), defined on (0, 1/2]."""
-    if not (ZERO < x <= HALF):
+    if not (ZERO < require_exact(x) <= HALF):
         raise InputError(f"h_inverse argument out of (0,1/2]: {x}")
     return x / (ONE - x)

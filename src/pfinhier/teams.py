@@ -22,7 +22,7 @@ from .errors import ConsistencyError, DomainError, InputError
 from .hierarchy import Classification, Hierarchy
 from .memo import memoized
 from .minimal_sets import component_pool
-from .rationals import ExactRational, HALF, ONE, ZERO
+from .rationals import ExactRational, HALF, ONE, ZERO, require_exact
 from .rules import contribution
 from .trees import (
     Labeling,
@@ -91,7 +91,7 @@ def _funding_items(hier, x, p0, P_prime, p0_upper_pred):
     return tuple(items)
 
 
-@memoized(Hierarchy._check)
+@memoized
 def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
     """Assemble the simulation context for success level x.
 
@@ -169,10 +169,14 @@ def _g_row(ctx: SimulationContext, r: ExactRational):
     return contribution(ctx.p0, row), row
 
 
+def _check_mass(ctx: SimulationContext, r) -> None:
+    if not (ZERO <= require_exact(r) <= ctx.x):
+        raise InputError(f"follower mass {r} outside [0, {ctx.x}]")
+
+
 def g_function(ctx: SimulationContext, r: ExactRational) -> ExactRational:
     """Success mass a follower crowd of size r*k contributes when kept whole."""
-    if r < 0 or r > ctx.x:
-        raise InputError(f"follower mass {r} outside [0, {ctx.x}]")
+    _check_mass(ctx, r)
     return _g_row(ctx, r)[0]
 
 
@@ -185,8 +189,7 @@ def g_prime(ctx: SimulationContext, r: ExactRational) -> ExactRational:
     cost.  Conversely every multiset of items is realized by an actual
     split.  Solved by memoized branch and bound; exact, no rounding.
     """
-    if r < 0 or r > ctx.x:
-        raise InputError(f"follower mass {r} outside [0, {ctx.x}]")
+    _check_mass(ctx, r)
     if r == 0:
         return ZERO
     items = ctx.ranked
@@ -241,7 +244,7 @@ def _closure_size(ctx: SimulationContext, k: int, size) -> int:
     return k
 
 
-@memoized(Hierarchy._check)
+@memoized
 def team_size(hier: Hierarchy, p: ExactRational) -> int:
     """Size of the smallest uniformly sufficient team for member p."""
     if hier.classify(p) is Classification.NOT_MEMBER:
@@ -252,7 +255,7 @@ def team_size(hier: Hierarchy, p: ExactRational) -> int:
     return _closure_size(make_context(hier, p), 1, lambda q: team_size(hier, q))
 
 
-@memoized(Hierarchy._check)
+@memoized
 def _allocation_team_size(hier: Hierarchy, x: ExactRational) -> int:
     """Team size the allocator actually uses at success level x.
 

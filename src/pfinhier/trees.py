@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .rationals import ExactRational, ONE, ZERO, format_rational, parse_rational
+from .rationals import ExactRational, ONE, ZERO, format_rational, parse_rational, require_exact
 from .rules import apply_rule, contribution
 
 Tree = tuple
@@ -141,7 +141,7 @@ def rational_labeling(tree: Tree) -> Labeling:
 
 def scale_labeling(lab: Labeling, r: ExactRational) -> Labeling:
     """Multiply every label by r > 0, turning (p, q) into (pr, qr)."""
-    if r <= 0:
+    if require_exact(r) <= 0:
         raise InputError(f"scale factor must be positive: {r}")
     return Labeling(
         lab.p * r,

@@ -40,6 +40,10 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "classify", "1/6")
     assert code == 3 and "floor" in err
+    # a probability outside (0, 1] is an argument error on every verb
+    for argv in (("classify", "3/2"), ("team-size", "0"), ("alpha", "0"), ("alpha", "2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "error:" in err, argv
     assert run(capsys, "--floor", "5", "classify", "1/6") == (0, "LIM\n", "")
     # xdmin refuses x before its budget: under the floor outranks d > x
     code, out, err = run(capsys, "xdmin", "1/100", "1/2")

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction as F
 
@@ -31,7 +32,7 @@ from pfinhier.minimal_sets import (
 )
 
 from freeze_golden import GOLDEN
-from oracles import climb_bracket, dominated_by_some, eager_predecessor, generates
+from oracles import base_members, climb_bracket, dominated_by_some, eager_predecessor, generates
 
 # rationals kept above the chain segment, where every query is cheap
 fast_zone = st.fractions(min_value=F(4, 9), max_value=F(1), max_denominator=120)
@@ -41,6 +42,8 @@ LOW_GRID = sorted(
 # [16/39, 1/2) with denominators up to 60: down to the floor of cold 41/100
 CLIMB_GRID = sorted(
     {F(n, d) for d in range(2, 61) for n in range(1, d) if F(16, 39) <= F(n, d) < F(1, 2)})
+# its part from 7/17 up, where the climb oracle is quick
+AROUND_GRID = [p for p in CLIMB_GRID if p >= F(7, 17)]
 
 
 def test_classify_frozen(hier):
@@ -433,6 +436,10 @@ def test_bracket_frozen(hier):
     assert hier.bracket(F(7, 10)) == (F(2, 3), F(1))
     assert hier.bracket(F(12, 25)) == (F(12, 25), F(12, 25))
     assert hier.bracket(F(1)) == (F(1), F(1))
+    # an image of a member is its own bracket, also before it is classified
+    fresh = Hierarchy(floor_level=4)
+    for p in (F(2, 5), F(3, 8), F(4, 11)):
+        assert fresh.bracket(p) == (p, p)
 
 
 def test_next_below_frozen(hier):
@@ -524,6 +531,39 @@ def test_bracket_of_a_limit_term_walks_no_set_of_its_own(monkeypatch):
     assert climb_bracket(Hierarchy(floor_level=4), p) == (p, p)
 
 
+def test_around_above_half_is_the_ladder():
+    # every n/d in (1/2, 1] with d <= 120, reduced and as (3n, 3d): the last
+    # member below and the least member at or above, in closed form, equal
+    # to bracket and next_below and to the ladder, with no memo entry
+    ladder = base_members(200)
+    fresh, ref = Hierarchy(floor_level=4), Hierarchy(floor_level=4)
+    points = sorted({F(n, d) for d in range(1, 121) for n in range(d // 2 + 1, d + 1)})
+    for t in points:
+        n, d = t.numerator, t.denominator
+        got = fresh._around(n, d)
+        f1, f2 = ref.bracket(t)
+        assert got == ((ref.next_below(f2) if f1 == f2 else f1), f2), t
+        i = bisect_left(ladder, t)
+        assert got == (ladder[i - 1], ladder[i]), t
+        again = fresh._around(3 * n, 3 * d)
+        assert again[0] is got[0] and again[1] is got[1], t
+    assert len(points) == 2_193
+    assert [slot for slot in vars(fresh) if slot.startswith("_memo_")] == []
+
+
+@pytest.mark.parametrize("level", [2, 4])
+def test_around_below_half_matches_the_climb_oracle(level):
+    # the last member below t and the member above it, which is the least
+    # member at or above t, whether or not t is a member
+    h, oracle = Hierarchy(floor_level=level), Hierarchy(floor_level=level)
+    for t in AROUND_GRID:
+        n, d = t.numerator, t.denominator
+        got = h._around(n, d)
+        assert got == climb_bracket(oracle, t, strict=True), t
+        assert h._around(3 * n, 3 * d) == got, t
+    assert len(AROUND_GRID) == 97
+
+
 @pytest.mark.parametrize("level", range(1, 9))
 def test_floor_edge(level):
     # 1/(L+1) is the lowest constructed member: its bracket is itself, and
@@ -558,6 +598,14 @@ def test_enumerate_interval(hier):
         hier.enumerate_interval(F(2, 3), F(1, 2), 5)
     with pytest.raises(InputError):
         hier.enumerate_interval(F(1, 2), F(1), -1)
+    # the walk up passes b, and a stall on the limit 1/2 that used the count
+    assert hier.enumerate_interval(F(11, 20), F(3, 5), 5) == [F(5, 9), F(4, 7), F(3, 5)]
+    assert hier.enumerate_interval(F(1, 2), F(3, 5), 1) == [F(1, 2)]
+    # floats and bools are refused, as ends and as the count
+    for args in ((0.5, F(1), 2), (F(1, 2), 1.0, 2), (F(1, 2), F(1), 2.5),
+                 (F(1, 2), F(1), True)):
+        with pytest.raises(InputError):
+            hier.enumerate_interval(*args)
 
 
 def test_decide_equivalence(hier):

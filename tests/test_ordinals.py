@@ -135,6 +135,11 @@ def test_alpha_shift_law():
 def test_alpha_unsupported():
     with pytest.raises(DomainError):
         alpha_at(F(11, 20))
+    # floats and bools are refused, and so is a value outside (0, 1], with
+    # InputError, as every other probability is
+    for odd in (0.5, True, F(0), F(2)):
+        with pytest.raises(InputError):
+            alpha_at(odd)
 
 
 def test_nesting_bound():

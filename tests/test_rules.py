@@ -53,6 +53,12 @@ def test_apply_rule_rejects_empty_and_out_of_range():
         h_map(F(0))
     with pytest.raises(InputError):
         h_inverse(F(3, 5))
+    # and floats and bools, which compare equal to rationals
+    for odd in (0.5, True):
+        with pytest.raises(InputError):
+            h_map(odd)
+    with pytest.raises(InputError):
+        h_inverse(0.25)
 
 
 def test_weights_worked_example():

@@ -134,6 +134,11 @@ def test_g_values(hier):
         g_function(c, F(13, 25))
     with pytest.raises(InputError):
         g_prime(c, F(-1, 25))
+    # both refuse floats and bools, which compare equal to rationals
+    for g in (g_function, g_prime):
+        for odd in (0.25, False):
+            with pytest.raises(InputError):
+                g(c, odd)
 
 
 def test_g_prime_reaches_target(hier):
@@ -242,6 +247,7 @@ def test_trace_round_trip(hier):
     again = parse_trace(format_trace(trace))
     assert again.tree == trace.tree
     assert again.labeling == trace.labeling
+    assert parse_trace("\n  \n" + format_trace(trace)) == again  # leading blank lines
     with pytest.raises(InputError):
         parse_trace("")
     with pytest.raises(InputError):

@@ -144,6 +144,9 @@ def test_scale_labeling():
     assert ok
     with pytest.raises(InputError):
         scale_labeling(lab, F(0))
+    # a float factor would give float labels
+    with pytest.raises(InputError):
+        scale_labeling(lab, 0.5)
 
 
 @given(st.integers(0, 2**30))
