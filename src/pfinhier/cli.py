@@ -11,7 +11,10 @@ escape with a traceback; they indicate a bug, not a usage error.
 
 Counts are bounded: limit-seq --take and the count of enum must lie in
 [1, MAX_COUNT] (10,000), so a mistyped count is refused with exit 2
-instead of running for minutes.
+instead of running for minutes. So is the floor: --floor must be an int
+in [1, MAX_FLOOR_LEVEL] (100), since a point of level N nests N level
+shifts and classify recurses through each; a deeper floor exits 2
+instead of overflowing the stack.
 
 Output is byte-deterministic for identical invocations. With --json a
 single object {verb, input, result, witnesses} is printed instead of
@@ -33,7 +36,7 @@ import sys
 
 from . import __version__
 from .errors import DomainError, FloorError, InputError
-from .hierarchy import Classification, Hierarchy
+from .hierarchy import MAX_FLOOR_LEVEL, Classification, Hierarchy
 from .minimal_sets import prune_dominated
 from .rationals import format_rational, parse_rational
 from .rules import apply_rule
@@ -250,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         metavar="N",
-        help="construct levels down to 1/(N+1) (default 4)",
+        help=f"construct levels down to 1/(N+1), N in [1, {MAX_FLOOR_LEVEL}] (default 4)",
     )
     top.add_argument(
         "--json",

@@ -13,17 +13,19 @@ a largest element. So every strictly ascending chain of members is
 finite, and every member above the floor edge 1/(L+1) has an immediate
 member below it. Only successors also have an immediate member above
 them (the predecessor); limit members are approached from above by
-computable strictly decreasing sequences. Below 1/2, bracket and
-next_below start from a member at or below their answer, found from the
-bottom of the point's segment and the point's own minimal-set entry, and
-climb from it through predecessors and limit sequences; being an
-ascending chain, the climb ends.
+computable strictly decreasing sequences. Below 1/2, one routine
+(_straddle) finds the last member below a point and the least member at
+or above it, for bracket, next_below and the walk's thresholds alike. It
+starts from a member below the point, found from where the point sits
+(_segment) and the point's own minimal-set entry, and climbs from it
+through predecessors and limit sequences; being an ascending chain, the
+climb ends.
 
 All queries live on a Hierarchy object, which memoizes segments, limit
-sequences, brackets and neighbors per instance. It also owns the
-minimal-set tables, one per x over the governing floor of x, each set
-stored once for the whole interval of budgets that yields it. A
-memoized limit sequence keeps every term it has computed.
+sequences, brackets and the members around each point per instance. It
+also owns the minimal-set tables, one per x over the governing floor of
+x, each set stored once for the whole interval of budgets that yields
+it. A memoized limit sequence keeps every term it has computed.
 
 Its intern table, keyed on (numerator, denominator), holds one record
 per value: its sort key (float, value), built once, and, once worked
@@ -32,8 +34,9 @@ and predecessor memoize. Equal members handed out are one object, and
 the walk steps from a successor to its predecessor by one link. The
 tables build their tuples, when read, from these keys, which compare
 floats first and settle equal members on identity. Two hierarchies
-share no table. Queries below the configured floor level raise
-FloorError instead of recursing without bound.
+share no table. The floor level L is an int in [1, MAX_FLOOR_LEVEL], and
+queries below 1/(L+1) raise FloorError instead of recursing without
+bound.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ class Segment(namedtuple("Segment", "anchor_low r_lo r_hi")):
 
 # consecutive skipped raw indices after which a sequence is declared stuck
 SCAN_CAP = 1000
+
+# the deepest floor level: a point of level L nests L level shifts, and
+# classify recurses through each, as ordinals.MAX_NESTING bounds its nesting
+MAX_FLOOR_LEVEL = 100
 
 
 class LimitSequence:
@@ -157,8 +164,10 @@ class Hierarchy:
     """Memoized query surface over the constructed levels."""
 
     def __init__(self, floor_level: int = 4):
-        if floor_level < 1:
-            raise InputError(f"floor level must be at least 1: {floor_level}")
+        if isinstance(floor_level, bool) or not isinstance(floor_level, int):
+            raise InputError(f"floor level must be an int, got {type(floor_level).__name__}")
+        if not 1 <= floor_level <= MAX_FLOOR_LEVEL:
+            raise InputError(f"floor level must lie in [1, {MAX_FLOOR_LEVEL}]: {floor_level}")
         self.floor_level = floor_level
         # (numerator, denominator) -> the value's record
         self._members: dict[tuple[int, int], _Record] = {}
@@ -221,7 +230,7 @@ class Hierarchy:
         # images of members are always limit points
         if self.classify(h_inverse(x)) is not Classification.NOT_MEMBER:
             return Classification.LIMIT
-        seg = self.segment_of(x)
+        seg = self._segment(x)
         if x == seg.r_lo:
             return Classification.LIMIT
         entry = minimal_sets._xx_entry(self, x)
@@ -239,14 +248,23 @@ class Hierarchy:
 
     # ---- segments ----
 
-    @memoized
     def segment_of(self, x: ExactRational) -> Segment:
+        self._check(x)
         if x >= HALF:
             raise DomainError(f"segments exist below 1/2 only, got {x}")
+        seg = self._segment(x)
+        if seg is None:
+            raise DomainError(f"{x} is the image of a member; it bounds segments")
+        return seg
+
+    @memoized
+    def _segment(self, x: ExactRational):
+        """Where x in (0, 1/2] sits: None at the image of a member, else
+        the segment holding x, whose r_lo is x at a chain point."""
         t = h_inverse(x)
         if self.classify(t) is not Classification.NOT_MEMBER:
-            raise DomainError(f"{x} is the image of a member; it bounds segments")
-        p, r = self.bracket(t)
+            return None
+        p, r = self._around(t._numerator, t._denominator)
         a_low, a_high = h_map(p), h_map(r)
         if not (a_low < x < a_high):
             raise ConsistencyError(f"{x} escaped its anchor interval [{a_low}, {a_high}]")
@@ -260,11 +278,11 @@ class Hierarchy:
     def governing_floor(self, x: ExactRational) -> ExactRational:
         """Lower bound for components of any rule application reaching x."""
         self._check(x)
-        if x >= HALF:
-            return self.bracket(x)[1]
-        if self.classify(h_inverse(x)) is not Classification.NOT_MEMBER:
-            return x
-        return self.segment_of(x).r_hi
+        n, d = x._numerator, x._denominator
+        if 2 * n > d:  # x > 1/2
+            return self._around(n, d)[1]
+        seg = self._segment(x)
+        return x if seg is None else seg.r_hi
 
     def xd_minimal(self, x: ExactRational, d: ExactRational) -> minimal_sets.MinimalSet:
         """The (x, d)-minimal set over the governing floor of x; x is refused before d."""
@@ -400,7 +418,7 @@ class Hierarchy:
                 raise ConsistencyError("image of the maximum is 1/2, handled above")
             r = self.predecessor(t)
             return self._r_sequence(t, h_map(r))
-        seg = self.segment_of(x)
+        seg = self._segment(x)
         if x == seg.r_lo:
             p = h_inverse(seg.anchor_low)
             upper = self.limit_sequence(seg.r_hi)
@@ -442,44 +460,17 @@ class Hierarchy:
     def bracket(self, p: ExactRational):
         """Largest member <= p and smallest member >= p.
 
-        Above 1/2, and at every 1/k, they are closed forms. An image of a
-        member is a member, hence its own bracket. Any other p below 1/2
-        lies in a segment [r_lo, r_hi) of the anchor [h(a), h(b)], where
-        a < p/(1 - p) < b are consecutive members. Its bracket is the last
-        member L <= p and the member above L, and a climb finds both from
-        a member at or below L:
-
-        1. r_lo is a limit. Its limit sequence descends to it, so it has a
-           first term at or below p: a member at most L. If that term is
-           p, p is its own bracket, and p's minimal set is never walked.
-           At floor 4, 13/40 is such a term, of the sequence of 64/197;
-           the walk behind classify(13/40) nests the tables of ever more
-           thresholds and had not ended after a minute.
-        2. A tuple W of members of [r_hi, a] that pools to v in (r_lo, p)
-           pools to a member. v lies in the anchor, so every component
-           q <= a has a positive weight c(v, q), below 1 as q > v; W is a
-           valid application (step 3 of predecessor).
-        3. A k-tuple whose contributions at p total s pools to
-           k p/(s + k - p): its reciprocals sum to (s + k(1 - p))/p. So it
-           pools below p exactly when s > p.
-        4. The walk of the (p, p) entry sums hi, the least achievable
-           total above lo, as a candidate that is the total of a tuple
-           over [r_hi, a] of length hi_k (minimal_sets._build_set, step
-           3). hi > p, so by 3 that tuple pools to
-           v0 = hi_k p/(hi + hi_k - p) < p, and by 2 the start, the larger
-           of v0 and the term of 1, is a member at most L (_start_below).
-        5. From the start the climb steps to the predecessor of a
-           successor and into the limit sequence of a limit, never past p.
-           The hierarchy is well ordered in descending order, so every
-           ascending chain of members is finite and the climb ends, at L.
-           It stops because the member above L lies above p.
-
-        The start is not always L: a tuple pools to p/(1 + (s - p)/k),
-        so a longer tuple whose total lies above hi can pool higher than
-        hi's. At p = 306/727, hi is the total of a pair and v0 = 210/499,
-        but L = 117/278 is the pool of (26/51, 3/5, 2/3). So the climb
-        checks the start, through its own entry. It classifies no member
-        between the bottom of the level and the start.
+        Above 1/2, and at every 1/k, they are closed forms. A member
+        already classified, an image of a member and a chain point are
+        their own bracket. Any other p below 1/2 lies inside a segment
+        [r_lo, r_hi), and r_lo is a limit. Its limit sequence descends to
+        it, so it has a first term at or below p. If that term is p, p is
+        its own bracket, and p's minimal set is never walked. At floor 4,
+        13/40 is such a term, of the sequence of 64/197; the walk behind
+        classify(13/40) nests the tables of ever more thresholds and had
+        not ended after a minute. Otherwise the bracket is read off
+        _straddle(p), the last member below p and the least member at or
+        above it: p, twice, when that member is p.
         """
         pn, pd = p._numerator, p._denominator
         if pn == 1 or pd == 2 * pn - 1:
@@ -493,16 +484,13 @@ class Hierarchy:
         p = rec.key[1]
         if rec.cls is not None and rec.cls is not Classification.NOT_MEMBER:
             return p, p  # classified already
-        if self.classify(h_inverse(p)) is not Classification.NOT_MEMBER:
-            return p, p  # an image of a member
-        r_lo = self.segment_of(p).r_lo
-        if p == r_lo:
-            return p, p
-        term = self._first_term(r_lo, rec.key.__ge__)
-        if term is rec:
+        seg = self._segment(p)
+        if seg is None or p == seg.r_lo:
+            return p, p  # an image of a member, or a chain point
+        if self._first_term(seg.r_lo, rec.key.__ge__) is rec:
             return p, p  # a term of r_lo's limit sequence
-        start = self._start_below(p, minimal_sets._xx_entry(self, p), term.key[1])
-        return self._climb(self._record(start), rec.key, strict=False)
+        below, above = self._straddle(p)
+        return (p, p) if above == p else (below, above)
 
     def _around(self, n: int, d: int):
         """The largest member below n/d and the least member at or above
@@ -511,18 +499,80 @@ class Hierarchy:
         Above 1/2 the members are m/(2m - 1): the least at or above n/d
         has m = floor(n/(2n - d)), and (m + 1)/(2m + 1) lies below it
         whether or not n/d is a member, so no Fraction is built and no
-        memo entry made.
+        memo entry made. At or below 1/2 the pair is _straddle's.
         """
         if 2 * n > d:
             m = n // (2 * n - d)
             return self._member_of(m + 1, 2 * m + 1), self._member_of(m, 2 * m - 1)
-        below, y = self.bracket(ExactRational(n, d))
-        return (self.next_below(y) if below == y else below), y
+        return self._straddle(ExactRational(n, d))
+
+    @memoized
+    def _straddle(self, p: ExactRational):
+        """The last member below p and the least member at or above it,
+        for p at or below 1/2. At the floor edge p = 1/(L+1) the member
+        below lies under the floor (FloorError).
+
+        One strict climb finds both from a start, a member below p. Let
+        t = p/(1 - p), a the last member below t and f the floor of p's
+        own table (governing_floor). Where p sits (_segment) gives a
+        member b below p:
+
+        - inside a segment [r_lo, r_hi) of the anchor [h(a), h(r)]:
+          f = r_hi and b = r_lo;
+        - at an image p = h(t): f = p, since p governs its own floor, and
+          b = pool(a, p), the bottom of the top segment [pool(a, p), p) of
+          the anchor [h(a), p];
+        - at a chain point p = r_lo: the segment under p is
+          [pool(a, p), p), over the floor p, one segment under f = r_hi.
+          p's entry does not reach it, and the start is its bottom
+          pool(a, p).
+
+        In the first two cases the start is the larger of b and a member
+        read off p's own (p, p) entry:
+
+        1. A tuple W of members of [f, a] that pools to v in (b, p) pools
+           to a member. v lies in the anchor, so every component q <= a
+           has a positive weight c(v, q), below 1 as q >= f > v; W is a
+           valid application (step 3 of predecessor).
+        2. A k-tuple whose contributions at p total s pools to
+           k p/(s + k - p): its reciprocals sum to (s + k(1 - p))/p. So it
+           pools below p exactly when s > p.
+        3. The walk of the (p, p) entry sums hi, the least achievable
+           total above lo, as a candidate that is the total of a tuple
+           over [f, a] of length hi_k (minimal_sets._build_set, step 3).
+           hi > p, so by 2 that tuple pools to
+           v0 = hi_k p/(hi + hi_k - p) < p, and by 1 the start, the larger
+           of v0 and b, is a member below p (_start_below).
+        4. From the start the climb steps to the predecessor of a
+           successor and into the limit sequence of a limit, never to p or
+           past it. The hierarchy is well ordered in descending order, so
+           every ascending chain of members is finite and the climb ends,
+           at the last member below p. It stops because the member above
+           that one lies at or above p.
+
+        The start is not always the answer: a tuple pools to
+        p/(1 + (s - p)/k), so a longer tuple whose total lies above hi can
+        pool higher than hi's. At p = 306/727, hi is the total of a pair
+        and v0 = 210/499, but the answer 117/278 is the pool of
+        (26/51, 3/5, 2/3). So the climb checks the start, through its own
+        entry. It classifies no member between the bottom of the level and
+        the start.
+        """
+        if p._numerator * (self.floor_level + 1) == p._denominator:
+            # the floor edge: the members below it lie under the floor
+            self._check(ExactRational(1, self.floor_level + 2))
+        seg = self._segment(p)
+        if seg is not None and p == seg.r_lo:  # a chain point
+            start = apply_rule((h_inverse(seg.anchor_low), p))
+        else:
+            bottom = seg.r_lo if seg is not None else apply_rule((self.next_below(h_inverse(p)), p))
+            start = self._start_below(p, minimal_sets._xx_entry(self, p), bottom)
+        return self._climb(self._record(start), ascending_key(p))
 
     def _start_below(self, x: ExactRational, entry, bottom: ExactRational) -> ExactRational:
         """max(bottom, K x/(hi + K - x)) for the (x, x) entry's hi and its
         longest candidate length K: the member a climb to x starts from
-        (see bracket)."""
+        (see _straddle)."""
         xn, xd = x._numerator, x._denominator
         hn, hd, k = entry[2], entry[3], entry[8]
         num, den = k * xn * hd, hn * xd + (k * xd - xn) * hd
@@ -531,21 +581,22 @@ class Hierarchy:
         g = gcd(num, den)
         return self._member_of(num // g, den // g)
 
-    def _climb(self, rec: _Record, pk, strict: bool):
-        """From the member rec at or below p, the last member below p (< p
-        if strict, else <= p) and the member above it; pk is p's key.
+    def _climb(self, rec: _Record, pk):
+        """From the member rec below p, the last member below p and the
+        member above it; pk is p's key.
 
-        Climbs through predecessors and limit sequences, never past p;
-        ascending chains of members are finite, so the climb ends. bracket
-        and next_below start it from a member that can lie below the
-        answer (see bracket): the climb certifies that start, usually with
-        one predecessor.
+        Climbs through predecessors and limit sequences, never to p or
+        past it; ascending chains of members are finite, so the climb
+        ends. _straddle starts it from a member that can lie below the
+        answer: the climb certifies that start, usually with one
+        predecessor. A start at or above p would end the climb at once
+        with a wrong pair, so it raises ConsistencyError.
         """
-        below = pk.__gt__ if strict else pk.__ge__
+        below = pk.__gt__
+        if not below(rec.key):
+            raise ConsistencyError(f"the climb to {pk[1]} starts at {rec.key[1]}, not below it")
         while True:
             cur = rec.key[1]
-            if rec.key == pk:
-                return cur, cur
             cls = self._classified(rec)
             if cls is Classification.SUCCESSOR:
                 nxt = self._lowered(rec)
@@ -566,48 +617,21 @@ class Hierarchy:
             k += 1
         return self._record(seq.term(k))
 
-    @memoized
     def next_below(self, u: ExactRational) -> ExactRational:
         """The member immediately below u; total on members except the
         floor edge 1/(L+1), whose neighbor lies under the floor (FloorError).
 
-        Above 1/2 it is the closed form (n+1)/(2n+1). Below, the members
-        under u down to the next one that bounds a segment are the pools
-        of tuples over [f, a], where f is the floor of that stretch and a
-        the member under u/(1 - u) (bracket, 2): so the climb of bracket,
-        strict this time, starts from the (u, u) entry over [f, 1] where
-        u's own table has that floor:
-
-        - inside a segment [r_lo, r_hi), u != r_lo: f = r_hi, and the
-          stretch ends at r_lo;
-        - at an image u = h(t): f = u, since u governs its own floor, and
-          the stretch ends at pool(t', u), t' the member below t.
-
-        u's entry totals exactly u at lo, and its hi lies above u, so the
-        start pools below u (bracket, 3 and 4). At a chain point u = r_lo
-        the segment below is [pool(a, u), u), with floor u, one segment
-        under the floor of u's own table, and the climb starts at its
-        bottom pool(a, u).
+        Above 1/2 it is the closed form (n+1)/(2n+1), the first member of
+        _around there, which teams' funding rows ask for in bulk. At or
+        below 1/2 it is the first member of _straddle, whose member at or
+        above u must be u itself.
         """
         if self.classify(u) is Classification.NOT_MEMBER:
             raise DomainError(f"next_below needs a member, got {u}")
         n, den = u._numerator, u._denominator
         if 2 * n > den:  # u > 1/2
             return self._member_of(n + 1, 2 * n + 1)
-        if n * (self.floor_level + 1) == den:
-            # the floor edge: the members below it lie under the floor
-            self._check(ExactRational(1, self.floor_level + 2))
-        t = h_inverse(u)
-        if self.classify(t) is not Classification.NOT_MEMBER:
-            bottom = apply_rule((self.next_below(t), u))
-            start = self._start_below(u, minimal_sets._xx_entry(self, u), bottom)
-        else:
-            seg = self.segment_of(u)
-            if u == seg.r_lo:
-                start = apply_rule((h_inverse(seg.anchor_low), u))
-            else:
-                start = self._start_below(u, minimal_sets._xx_entry(self, u), seg.r_lo)
-        lo, hi = self._climb(self._record(start), ascending_key(u), strict=True)
+        lo, hi = self._straddle(u)
         if hi != u:
             raise ConsistencyError(f"the member above next_below({u}) = {lo} is {hi}")
         return lo

@@ -52,13 +52,13 @@ bucket per length, and sorts each bucket with a plain sort, which
 compares floats and falls back to the exact members only when two
 floats tie, then drops adjacent repeats (_ordered).
 
-classify, predecessor, limit_sequence, bracket and next_below read a
-stored (x, x) entry (_xx_entry) without building its tuples. A tuple
-sits at lo exactly when it extends an inner tuple at lo(inner) through
-an at-lo visit, so _tuples_at_lo expands the at-lo visits alone (at an
-(x, x) entry with lo = x, to the generators of x), and _best_below_lo
-follows them to the prefix sums of the prefixes below lo, neither
-summing a tuple.
+classify, predecessor, limit_sequence and the climb start behind bracket
+and next_below read a stored (x, x) entry (_xx_entry) without building
+its tuples. A tuple sits at lo exactly when it extends an inner tuple at
+lo(inner) through an at-lo visit, so _tuples_at_lo expands the at-lo
+visits alone (at an (x, x) entry with lo = x, to the generators of x),
+and _best_below_lo follows them to the prefix sums of the prefixes below
+lo, neither summing a tuple.
 """
 
 from __future__ import annotations
@@ -399,8 +399,8 @@ def _build_set(hier, x: ExactRational, d: ExactRational) -> MinimalSet:
     singleton m; (b) y joined to a tuple behind hi(inner), by induction;
     (c) the one-step change behind t joined to m', or to p0'. The entry
     keeps hi_k, the longest length among the candidates equal to hi, so
-    a tuple of hi_k components over [floor, 1] totals hi; Hierarchy's
-    bracket and next_below pool it.
+    a tuple of hi_k components over [floor, 1] totals hi; the climb start
+    of Hierarchy._straddle pools it.
 
     So the set stored for d answers exactly the budgets in [lo, hi).
     The table of x keeps one entry [lo, hi) per set, and the

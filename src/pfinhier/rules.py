@@ -11,7 +11,9 @@ application is admissible only when every weight lies in [0, 1].
 apply_rule and contribution work on integer numerators and denominators
 and build a single Fraction at the end, so their answers stay exact
 while skipping the per-operation normalization and type dispatch of
-Fraction arithmetic. Neither is on the kernel's hot path: the minimal-set
+Fraction arithmetic. Both take exact rationals only (require_exact): a
+bool or an int has a numerator and a denominator too, but True is no
+component to pool. Neither is on the kernel's hot path: the minimal-set
 walk and the predecessor search sum in integers themselves.
 """
 
@@ -28,11 +30,8 @@ def apply_rule(components: Sequence[ExactRational]) -> ExactRational:
         raise InputError("apply_rule needs at least one component")
     # sum(1/p_i) accumulated as num/den in plain ints
     num, den = 0, 1
-    for p in components:
-        try:
-            pn, pd = p.numerator, p.denominator
-        except AttributeError:
-            raise InputError(f"component is not an exact rational: {p!r}") from None
+    for p in map(require_exact, components):
+        pn, pd = p._numerator, p._denominator
         if not (0 < pn <= pd):
             raise InputError(f"component out of (0,1]: {p}")
         num, den = num * pn + den * pd, den * pn
@@ -63,11 +62,8 @@ def contribution(x: ExactRational, p: ExactRational) -> ExactRational:
 
     Increasing in x, decreasing in p; nonpositive exactly when p >= x/(1-x).
     """
-    try:
-        xn, xd = x.numerator, x.denominator
-        pn, pd = p.numerator, p.denominator
-    except AttributeError:
-        raise InputError(f"expected exact rationals, got {x!r} and {p!r}") from None
+    x, p = require_exact(x), require_exact(p)
+    xn, xd, pn, pd = x._numerator, x._denominator, p._numerator, p._denominator
     return ExactRational(xn * (pd + pn) - xd * pn, xd * pn)
 
 

@@ -59,6 +59,11 @@ def test_exit_codes(capsys, tmp_path):
         code, out, err = run(capsys, "--floor", "0", *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and "floor" in err and err.count("\n") == 1
+    # and so is a floor past 100, which once overflowed the stack
+    code, out, err = run(capsys, "--floor", "2000", "classify", "1/2001")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "floor" in err and err.count("\n") == 1
+    assert run(capsys, "--floor", "100", "classify", "1/101") == (0, "LIM\n", "")
     # so is a zero count
     code, out, err = run(capsys, "enum", "1/2", "1", "0")
     assert code == 2 and out == "" and "count" in err

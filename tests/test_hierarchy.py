@@ -80,8 +80,12 @@ def test_guards(hier):
         hier.classify(0.5)
     with pytest.raises(FloorError):
         hier.classify(F(1, 6))
-    with pytest.raises(InputError):
-        Hierarchy(floor_level=0)
+    # the floor level is an int in [1, MAX_FLOOR_LEVEL]: a float floor once
+    # reported 1/3.5, a str raised TypeError, and floor 2000 overflowed
+    # the stack
+    for level in (0, hierarchy.MAX_FLOOR_LEVEL + 1, 2000, 2.5, "4", True, None):
+        with pytest.raises(InputError):
+            Hierarchy(floor_level=level)
     # the guard runs before the memo lookup: 0.5 and True hash and compare
     # equal to 1/2 and 1, which are warm here, but must still be refused
     for warm in (F(1, 2), F(1)):
@@ -470,30 +474,31 @@ def test_bracket_and_next_below_match_the_climb_oracle(hier):
 
 
 def climb_start(hier, x):
-    """Where bracket or next_below starts its climb to x: the pool of the
-    longest hi candidate of x's entry, or the member it is known above."""
-    if not hier.is_member(x):
-        seq = hier.limit_sequence(hier.segment_of(x).r_lo)
-        bottom = next(seq.term(k) for k in range(10**6) if seq.term(k) <= x)
-        entry = _xx_entry(hier, x)
-    elif hier.classify(h_inverse(x)) is not Classification.NOT_MEMBER:
-        entry, bottom = _xx_entry(hier, x), apply_rule((hier.next_below(h_inverse(x)), x))
-    elif x == hier.segment_of(x).r_lo:
-        return apply_rule((h_inverse(hier.segment_of(x).anchor_low), x))
+    """Where _straddle starts its climb to x: the larger of the member
+    below x that x's place gives and the pool of the longest hi candidate
+    of x's entry, or, at a chain point, the bottom of the segment below."""
+    t = h_inverse(x)
+    if hier.is_member(t):  # an image
+        bottom = apply_rule((hier.next_below(t), x))
     else:
-        entry, bottom = _xx_entry(hier, x), hier.segment_of(x).r_lo
+        seg = hier.segment_of(x)
+        if x == seg.r_lo:
+            return apply_rule((h_inverse(seg.anchor_low), x))
+        bottom = seg.r_lo
+    entry = _xx_entry(hier, x)
     hi, k = F(entry[2], entry[3]), entry[8]
     assert hi > x and k >= 1
     return max(bottom, k * x / (hi + k - x))
 
 
 def test_the_climb_starts_at_a_member_at_or_below_the_answer(hier):
-    # steps 1 to 4 of bracket's proof: the start is a member at or below the
-    # last member under x (<= x for a non-member, < x for next_below). On
-    # the grid it is that member, except at the chain points 16/39, 8/19
-    # and 4/9, whose climbs start at the bottom of the segment below them,
-    # and at 306/727: hi comes from a pair, pooling to 210/499, and the
-    # member below is 117/278, the pool of a triple whose total lies above hi
+    # steps 1 to 3 of _straddle's proof: the start is a member at or below
+    # the last member under x, which is bracket's lower member for a
+    # non-member and next_below for a member. On the grid it is that
+    # member, except at the chain points 16/39, 8/19 and 4/9, whose climbs
+    # start at the bottom of the segment below them, and at 306/727: hi
+    # comes from a pair, pooling to 210/499, and the member below is
+    # 117/278, the pool of a triple whose total lies above hi
     points = CLIMB_GRID + [F(306, 727)]
     exact = 0
     for x in points:
@@ -531,6 +536,28 @@ def test_bracket_of_a_limit_term_walks_no_set_of_its_own(monkeypatch):
     assert climb_bracket(Hierarchy(floor_level=4), p) == (p, p)
 
 
+def test_one_climb_answers_each_point_below_half(monkeypatch):
+    # the members around a point below 1/2 come from _straddle alone: a cold
+    # classify(7/17) leaves no bracket or next_below memo, and each
+    # _straddle entry ran one climb
+    climbs, climb = [], Hierarchy._climb
+    monkeypatch.setattr(Hierarchy, "_climb", lambda self, rec, pk: (
+        climbs.append(pk) or climb(self, rec, pk)))
+    h = Hierarchy(floor_level=4)
+    assert h.classify(F(7, 17)) is Classification.LIMIT
+    slots = {slot for slot in vars(h) if slot.startswith("_memo_")}
+    assert not slots & {"_memo_Hierarchy.bracket", "_memo_Hierarchy.next_below"}, slots
+    assert 0 < len(climbs) <= len(vars(h)["_memo_Hierarchy._straddle"])
+
+
+def test_a_climb_from_at_or_above_its_point_is_a_bug(hier):
+    # a start at or above p would end the climb at once with a wrong pair
+    p = F(3, 7)
+    for start in (p, F(4, 9)):
+        with pytest.raises(ConsistencyError):
+            hier._climb(hier._record(start), hier._record(p).key)
+
+
 def test_around_above_half_is_the_ladder():
     # every n/d in (1/2, 1] with d <= 120, reduced and as (3n, 3d): the last
     # member below and the least member at or above, in closed form, equal
@@ -562,6 +589,22 @@ def test_around_below_half_matches_the_climb_oracle(level):
         assert got == climb_bracket(oracle, t, strict=True), t
         assert h._around(3 * n, 3 * d) == got, t
     assert len(AROUND_GRID) == 97
+
+
+def test_the_deepest_floor_answers_at_its_edge():
+    # a point of level 100 nests 100 level shifts; at MAX_FLOOR_LEVEL each
+    # query below answers cold under the default recursion limit
+    assert hierarchy.MAX_FLOOR_LEVEL == 100
+
+    def deep():
+        return Hierarchy(floor_level=100)
+
+    assert deep().classify(F(1, 101)) is Classification.LIMIT
+    assert deep().classify(F(2, 201)) is Classification.LIMIT
+    assert deep().limit_sequence(F(1, 101)).take(2) == [F(1, 100), F(2, 201)]
+    assert deep().bracket(F(3, 301)) == (F(3, 301), F(3, 301))
+    with pytest.raises(FloorError):
+        deep().classify(F(1, 102))
 
 
 @pytest.mark.parametrize("level", range(1, 9))

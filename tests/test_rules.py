@@ -48,6 +48,15 @@ def test_apply_rule_rejects_empty_and_out_of_range():
         apply_rule((F(1), 0.5))
     with pytest.raises(InputError):
         contribution(0.5, F(2, 3))
+    # and so are bools and ints, which carry a numerator and a denominator
+    for odd in (True, 1):
+        with pytest.raises(InputError):
+            apply_rule((odd, F(1, 2)))
+        with pytest.raises(InputError):
+            contribution(odd, F(2, 3))
+        with pytest.raises(InputError):
+            contribution(F(2, 3), odd)
+        assert not is_valid_application((odd, odd))
     # the level shifts refuse arguments outside their domains
     with pytest.raises(InputError):
         h_map(F(0))
