@@ -3,11 +3,14 @@
 One verb per query family; results go to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 domain error (e.g. predecessor of a limit
 element), 2 argument or parse error, a probability outside (0, 1]
-included, whatever the verb, 3 query below the constructed floor, 141
-(128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) when
-the reader closes stdout early, as `| head` does; that exit prints
-nothing. Internal consistency failures are allowed to
-escape with a traceback; they indicate a bug, not a usage error.
+included, whatever the verb, 3 query below the constructed floor, 4 the
+query exceeded a resource bound (it nests deeper than Python's recursion
+limit, as classify 14/43 does at floor 4), 141 (128 + SIGPIPE, as a
+shell reports a process that SIGPIPE ended) when the reader closes
+stdout early, as `| head` does; that exit prints nothing. Exits 1 to 4
+print one `error:` line to stderr. Internal consistency failures are
+allowed to escape with a traceback; they indicate a bug, not a usage
+error.
 
 Counts are bounded: limit-seq --take and the count of enum must lie in
 [1, MAX_COUNT] (10,000), so a mistyped count is refused with exit 2
@@ -330,8 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# usage errors raised by the kernel; ConsistencyError is left to escape
-_EXIT_CODES = {DomainError: 1, InputError: 2, FloorError: 3}
+# usage errors raised by the kernel, and a query too deep for the stack;
+# ConsistencyError is left to escape
+_EXIT_CODES = {DomainError: 1, InputError: 2, FloorError: 3, RecursionError: 4}
 
 
 def main(argv=None) -> int:

@@ -48,7 +48,7 @@ from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
 from .memo import memoized
 from .rationals import ExactRational, HALF, ONE, ZERO, ascending_key, require_exact
-from .minimal_sets import Classification, reciprocal_sum
+from .minimal_sets import Classification
 from .rules import apply_rule, h_inverse, h_map, is_valid_application
 
 
@@ -106,49 +106,25 @@ class LimitSequence:
         return [self.term(k) for k in range(n)]
 
 
-def _swaps(T, sn, sd, lower_of):
-    """Pooled values (num, den) of the keyed tuple T with one component p
-    replaced by lower_of(p); T's reciprocals sum to sn/sd.
+def _least_own(x: ExactRational, below: tuple) -> ExactRational:
+    """The least own value among the prefixes of the stored (x, x) entry
+    that do not generate x, the predecessor of the successor x (see
+    predecessor).
 
-    A variant of k components whose reciprocals sum to n/d pools to
-    k*d / ((k - 1)*d + n), so each swap follows from sn/sd in O(1).
+    below holds a triple (k, sn, sd) for each length k among those
+    prefixes: sn/sd is their largest reciprocal sum, so their least own
+    value is k*sd / ((k - 1)*sd + sn).
     """
-    k = len(T)
-    for _, p in T:
-        q = lower_of(p)
-        pn, pd, qn, qd = p._numerator, p._denominator, q._numerator, q._denominator
-        rn, rd = sn * pn - pd * sd, sd * pn  # p dropped
-        n, d = rn * qn + qd * rd, rd * qn
-        yield k * d, (k - 1) * d + n
-
-
-def _least_own_and_swaps(x: ExactRational, below: tuple, generators, lower_of):
-    """The candidates above x from the stored (x, x) entry (see
-    predecessor): the least own value among the prefixes that do not
-    generate x, or None when there is none, and the swaps of the
-    generators that lie below it, in exact ascending order.
-
-    below holds a triple (k, sn, sd) for each length k among the prefixes
-    that do not generate x: sn/sd is their largest reciprocal sum, so their
-    least own value is k*sd / ((k - 1)*sd + sn). generators are the keyed
-    tuples that do generate x. Only the generators' components are lowered.
-    """
-    xn, xd = x._numerator, x._denominator
     vn, vd = 1, 0  # +infinity until the first length
     for k, sn, sd in below:
         num, den = k * sd, (k - 1) * sd + sn
         if num * vd < vn * den:
             vn, vd = num, den
-    if vd and vn * xd <= xn * vd:
+    if not vd:
+        raise ConsistencyError(f"no member candidate above successor {x}")
+    if vn * x._denominator <= x._numerator * vd:
         raise ConsistencyError(f"a stored prefix that does not generate {x} pools at or below it")
-    swaps = []
-    for T in generators:
-        sn, sd = reciprocal_sum(T)
-        for num, den in _swaps(T, sn, sd, lower_of):
-            if num * vd < vn * den:
-                swaps.append(ExactRational(num, den))
-    swaps.sort()
-    return (ExactRational(vn, vd) if vd else None), swaps
+    return ExactRational(vn, vd)
 
 
 class _Record:
@@ -296,73 +272,82 @@ class Hierarchy:
 
         Above 1/2 it is the closed form (n-1)/(2n-3). Below, let u be the
         answer and read the stored tuples of the (x, x)-minimal set, each
-        ascending, with k components whose reciprocals sum to S, so that it
-        pools to k/(k - 1 + S). A tuple generates x when it pools to x
-        exactly; every stored tuple pools to at least x, since its
-        contributions c(x, q) = x/q + x - 1 are positive and total at most
-        x. Call the k smallest components of a stored tuple its k-prefix;
-        a prefix is allowed wherever its tuple is, since contributions are
-        positive. The candidates are:
-
-        - the own value of each prefix of a stored tuple, other than the
-          generators themselves, and
-        - each swap of a stored generator: one successor component
-          replaced by its predecessor.
-
-        They lie above x, because pooling rises strictly with each
-        component, and u is the least candidate that is a member. The
-        proof rests on two facts of the paper: the hierarchy is well
-        ordered in descending order, and closed under valid applications.
-        Let x lie in the segment [r_lo, r_hi) of the anchor [h(p), h(r)],
-        where p < t = x/(1 - x) < r are consecutive members.
+        ascending. A k-tuple whose contributions c(x, q) = x/q + x - 1
+        total s pools to k x/(s + k - x): to x exactly when s = x (it
+        generates x), above x when s < x. Pooling rises strictly with each
+        component, as c(x, q) falls. Every stored tuple totals at most x.
+        Call the k smallest components of a stored tuple its k-prefix; a
+        prefix is allowed wherever its tuple is, since contributions are
+        positive. The answer u is the least own value v among the prefixes
+        that do not generate x. The proof rests on two facts of the paper:
+        the hierarchy is well ordered in descending order, and closed
+        under valid applications. Let x lie in the segment [r_lo, r_hi) of
+        the anchor [h(p), h(r)], where p < t = x/(1 - x) < r are
+        consecutive members.
 
         1. r_hi is a member above x, so u <= r_hi and u lies in the same
            segment. So some tuple T_u over [r_hi, 1] generates u; for
            u = r_hi it is the singleton.
         2. Each component q of T_u has c(u, q) > 0, so q < u/(1 - u) <= r,
-           hence q <= p < t and c(x, q) > 0. T_u totals x + k(x/u - 1) <= x
+           hence q <= p < t and c(x, q) > 0. T_u totals x + k(x/u - 1) < x
            at budget x, so it is allowed there, and by the cover property
            of the stored set (minimal_sets) the k-prefix S of some stored
-           tuple lies at or below T_u, componentwise, k = len(T_u). S is
-           allowed at x, so it pools at or above x.
-        3. Take any tuple W of members between S and T_u, componentwise.
-           Its components lie in [r_hi, p], so its weights lie in (0, 1]
-           and W is a valid application: apply_rule(W) is a member in
-           [x, u], hence x or u.
-        4. If S = T_u, u is the own value of the prefix S, which pools
-           above x and so is no generator. Otherwise S pools strictly below
-           u, so to x: its total is x, and the stored tuple it is a prefix
-           of totals at least that and at most x, so it has no further
-           component: S is a stored generator. No W strictly between S and
-           T_u may pool strictly between x and u, so they differ in
-           exactly one component, where T_u holds the member immediately
-           above S's: S's component is a successor (a limit has no member
-           immediately above it) and T_u's is its predecessor. So u is a
-           swap of the generator S.
-
+           tuple lies at or below T_u, componentwise, k = len(T_u).
+        3. Take a stored prefix at or below T_u and any tuple W of members
+           between the two, componentwise. W's components lie in [r_hi, p],
+           so its weights lie in (0, 1] and W is a valid application. It
+           totals at most x, as the prefix does, and pools at most to u:
+           apply_rule(W) is a member in [x, u], hence x or u.
+        4. If S pools above x, u is the own value of S. Otherwise S totals
+           x, and the stored tuple it is a prefix of totals at least that
+           and at most x, so S is that whole tuple, at lo = x. The lemma
+           below, at the (x, x) entry with R = S and T = T_u, gives a
+           stored k-prefix at or below T_u that totals below x: by 3 it
+           pools to u, and it does not generate x.
         5. The argument of 3 needs only components in [r_hi, p], and every
            stored tuple has them: r_hi is the floor, and each component q
-           has c(x, q) > 0, so q < t and q <= p. So every prefix of a
-           stored tuple is a valid application and its own value is a
-           member; in particular the least own value v among the prefixes
-           that do not generate x. So u is the least member among the
-           generator swaps below v, or v itself when none is.
+           has c(x, q) > 0, so q < t and q <= p. So the own value of every
+           prefix that does not generate x is a member above x; by 4, u is
+           one of them, and the least member above x, so u = v.
 
         Every component of a generator of x is itself a successor: classify
         answers SUCCESSOR only when no generator has a limit component, and
-        c(x, 1) = 2x - 1 < 0 keeps 1 out. The search lowers each through its
-        record (_lowered), which raises ConsistencyError should one not be.
+        c(x, 1) = 2x - 1 < 0 keeps 1 out.
 
-        The search sums no stored tuple. A tuple of k components whose
-        reciprocals sum to S pools to k/(k - 1 + S), which falls as S
-        rises, so v is the least over k of k/(k - 1 + P_k), P_k the largest
-        reciprocal sum of a k-prefix that does not generate x. A prefix
-        generates x only when it is a whole stored tuple at lo = x, and
-        minimal_sets._best_below_lo finds each P_k along the visits at
-        lo; the generators come from minimal_sets._tuples_at_lo, and
-        _least_own_and_swaps orders their swaps below v exactly. v is
-        checked like any candidate: ConsistencyError if it does not lie
-        above x or is no member.
+        Lemma (strict cover). Let E be an entry reached from the (x, x)
+        entry through at-lo visits, R a stored tuple at its lo = b, and T
+        a tuple of members with positive contributions, componentwise at
+        or above R, totalling below b, k = len(R). Then the k-prefix of
+        some stored tuple of E lies at or below T and totals below b.
+
+        By induction on b, which drops by at least delta per level. R
+        joined to the visits that reach E is a generator of x, so its
+        components are successors. Write R = y + R', y an at-lo visit, R'
+        at lo(I) = b - c(x, y) of its inner entry I, and pair y with T's
+        component t at the same sorted position: T - t lies at or above
+        R'. For a visit z <= t and a tuple Q' of z's inner entry J whose
+        (k-1)-prefix P' lies at or below T - t, z + Q' is stored in E and
+        its k-prefix lies at or below z + P', so at or below T. If P'
+        totals below b - c(x, z), that k-prefix totals below b: it holds
+        z, with total below c(x, z) + b - c(x, z), or lies inside Q', with
+        total at most lo(J) <= b - c(x, z).
+
+        (A) t = y: T - t totals below lo(I); the lemma in I, applied to R'
+            and T - t, gives such a Q' for z = y.
+        (B) t > y: y is a successor, so the walk next visits
+            z = predecessor(y) <= t, which c(x, t) > 0 admits. T - t totals
+            at most what R' does, b - c(x, y) < b - c(x, z), so it is
+            allowed in J, and J's cover property gives P', totalling at
+            most lo(J) <= b - c(x, z). At equality P' is a whole tuple at
+            lo(J), z is an at-lo visit, and the lemma in J, applied to P'
+            and T - t, gives a Q' whose P' totals below lo(J).
+
+        The search sums no stored tuple: v is the least over k of
+        k/(k - 1 + P_k), P_k the largest reciprocal sum of a k-prefix that
+        does not generate x. A prefix generates x only when it is a whole
+        stored tuple at lo = x, and minimal_sets._best_below_lo finds each
+        P_k along the visits at lo (_least_own). v is checked:
+        ConsistencyError if it does not lie above x or is no member.
         """
         self._check(x)
         rec = self._members.get((x._numerator, x._denominator)) or self._record(x)  # hits: no call
@@ -387,15 +372,7 @@ class Hierarchy:
         n = x._numerator
         if 2 * n > x._denominator:  # x > 1/2
             return self._record(self._member_of(n - 1, 2 * n - 3))
-        entry = minimal_sets._xx_entry(self, x)
-        own, swaps = _least_own_and_swaps(
-            x, minimal_sets._best_below_lo(entry, {}), minimal_sets._tuples_at_lo(entry, {}),
-            lambda p: self._lowered(self._record(p)).key[1])
-        for value in swaps:
-            if self.classify(value) is not Classification.NOT_MEMBER:
-                return self._record(value)
-        if own is None:
-            raise ConsistencyError(f"no member candidate above successor {x}")
+        own = _least_own(x, minimal_sets._best_below_lo(minimal_sets._xx_entry(self, x), {}))
         if self.classify(own) is Classification.NOT_MEMBER:
             raise ConsistencyError(f"the least own value above successor {x}, {own}, is no member")
         return self._record(own)

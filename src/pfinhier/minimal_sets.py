@@ -55,9 +55,10 @@ floats tie, then drops adjacent repeats (_ordered).
 classify, predecessor, limit_sequence and the climb start behind bracket
 and next_below read a stored (x, x) entry (_xx_entry) without building
 its tuples. A tuple sits at lo exactly when it extends an inner tuple at
-lo(inner) through an at-lo visit, so _tuples_at_lo expands the at-lo
-visits alone (at an (x, x) entry with lo = x, to the generators of x),
-and _best_below_lo follows them to the prefix sums of the prefixes below
+lo(inner) through an at-lo visit, so _tuples_at_lo, which classify and
+limit_sequence read, expands the at-lo visits alone (at an (x, x) entry
+with lo = x, to the generators of x), and _best_below_lo, which
+predecessor reads, follows them to the prefix sums of the prefixes below
 lo, neither summing a tuple.
 """
 

@@ -123,6 +123,29 @@ def test_closed_pipe_exits_quietly():
     assert (done.returncode, done.stderr) == (141, "")
 
 
+def stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_query_too_deep_for_the_stack_exits_4(capsys):
+    # at floor 100, classify(1/101) recurses through 100 level shifts: it
+    # answers under the default recursion limit, and under a limit 200
+    # frames above the caller's it overflows, which exits 4 (a resource
+    # bound) with one error line and nothing on stdout
+    argv = ("--floor", "100", "classify", "1/101")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 200)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (4, "") and err.startswith("error:") and err.count("\n") == 1, err
+    assert run(capsys, *argv) == (0, "LIM\n", "")
+
+
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0 and out == "pfinhier 0.1.0\n"

@@ -23,7 +23,7 @@ from pfinhier import (
     parse_rational,
 )
 from pfinhier import hierarchy, minimal_sets
-from pfinhier.hierarchy import _least_own_and_swaps
+from pfinhier.hierarchy import _least_own
 from pfinhier.minimal_sets import (
     _best_below_lo,
     _stripped,
@@ -135,9 +135,9 @@ def test_members_are_interned_per_hierarchy():
 
 
 def test_walk_reads_member_records_unguarded(monkeypatch):
-    # the walk, the climb and the search's lowering step through member
-    # records: in a cold classify(7/17) none of them sends a member through
-    # the guard of classify or predecessor, and each classification and
+    # the walk and the climb step through member records: in a cold
+    # classify(7/17) neither sends a member through the guard of
+    # classify or predecessor, and each classification and
     # predecessor is worked out once. The memo lookups the records replace
     # numbered 6,269 classify and 5,218 predecessor calls for 127 members.
     guarded, worked = Counter(), Counter()
@@ -165,112 +165,33 @@ def test_walk_reads_member_records_unguarded(monkeypatch):
     assert 0 < sum(guarded.values()) < (6_269 + 5_218) // 10, sum(guarded.values())
 
 
-def lowering(hier):
-    """The search's lower_of, as predecessor passes it: each component's
-    predecessor through its record."""
-    return lambda p: hier._lowered(hier._record(p)).key[1]
+def prefix_own_values(hier, x):
+    """By apply_rule alone, over the prefixes of the stored tuples of
+    xd_minimal(x, x): the own values of those that do not generate x."""
+    return {apply_rule(T[:k]) for T in hier.xd_minimal(x, x).tuples
+            for k in range(1, len(T) + 1)} - {x}
 
 
-def keyed(hier, T):
-    """The member tuple T as hier's keyed tuple, as the budget tables store it."""
-    return tuple(hier._record(p).key for p in T)
-
-
-def own_values_and_generator_swaps(hier, x):
-    """By apply_rule alone, over the stored tuples of xd_minimal(x, x): the
-    own values of those that do not generate x, and the swaps of those that do."""
-    own, swaps = Counter(), Counter()
-    for T in hier.xd_minimal(x, x).tuples:
-        if apply_rule(T) != x:
-            own[apply_rule(T)] += 1
-            continue
-        for j, p in enumerate(T):
-            if hier.classify(p) is Classification.SUCCESSOR:
-                swaps[apply_rule(T[:j] + (hier.predecessor(p),) + T[j + 1:])] += 1
-    return own, swaps
-
-
-SEARCH_POINTS = (F(12, 25), F(48, 115))
-
-
-def search(hier, x, lower_of=None):
-    """The predecessor search on hier's stored (x, x) entry, as predecessor runs it."""
-    entry = _xx_entry(hier, x)
-    return _least_own_and_swaps(
-        x, _best_below_lo(entry, {}), _tuples_at_lo(entry, {}), lower_of or lowering(hier))
-
-
-def test_search_yields_least_own_value_and_swaps_below_it(hier):
+def test_search_yields_the_least_own_value(hier):
     # from the stored entry alone, the search finds the least own value
-    # among the tuples that do not generate x, and every generator swap
-    # below it in ascending order, as apply_rule finds them over the public
-    # set; it runs on successors only, since a generator of a limit such
-    # as 7/17 holds a limit component, which it refuses
-    for x in SEARCH_POINTS:
-        own, swaps = own_values_and_generator_swaps(hier, x)
-        least, below = search(hier, x)
-        assert own and swaps and least == min(own), x
-        assert below == sorted(s for s in swaps.elements() if s < least), x
-        # with no non-generator to bound them, every swap comes, in order
-        generators = _tuples_at_lo(_xx_entry(hier, x), {})
-        _, every = _least_own_and_swaps(x, (), generators, lowering(hier))
-        assert every == sorted(swaps.elements()), x
+    # among the prefixes that do not generate x, as apply_rule finds it
+    # over the public set
+    for x in (F(12, 25), F(48, 115)):
+        assert _least_own(x, _best_below_lo(_xx_entry(hier, x), {})) == min(
+            prefix_own_values(hier, x)), x
     # a non-generator pooling at x is a bug: (3/5, 2/3) generates 12/25
     with pytest.raises(ConsistencyError):
-        _least_own_and_swaps(F(12, 25), ((2, 19, 6),), (), lowering(hier))
-
-
-def test_search_lowers_only_generator_components(hier, monkeypatch):
-    # swaps are built for the generators only, and lower_of sees only their
-    # components, each once
-    swapped = []
-    real = hierarchy._swaps
-    monkeypatch.setattr(hierarchy, "_swaps", lambda T, *rest: swapped.append(T) or real(T, *rest))
-    lowered = []
-    lower_of = lowering(hier)
-
-    def recorded(p):
-        lowered.append(p)
-        return lower_of(p)
-
-    for x in SEARCH_POINTS:
-        generators = [T for T in hier.xd_minimal(x, x).tuples if apply_rule(T) == x]
-        swapped.clear()
-        lowered.clear()
-        least, _ = search(hier, x, recorded)
-        assert generators and least > x, x
-        assert [tuple(c for _, c in T) for T in swapped] == generators, x
-        assert lowered == [p for T in generators for p in T], x
-
-
-def test_a_generator_swap_decides_alone(hier):
-    # fed only the generator (3/5, 2/3) of 12/25, the search must reach
-    # predecessor(12/25) = 1/2 through a swap: 3/5 lowered to 2/3
-    x = F(12, 25)
-    generator = (F(3, 5), F(2, 3))
-    assert apply_rule(generator) == x
-    least, swaps = _least_own_and_swaps(x, (), [keyed(hier, generator)], lowering(hier))
-    members = [v for v in swaps if hier.is_member(v)]
-    assert least is None and members[:1] == [F(1, 2)] == [hier.predecessor(x)]
-
-
-def test_a_generator_limit_component_is_a_bug(hier):
-    # every component of a generator of a successor below 1/2 is a
-    # successor (see predecessor), so the search lowers each without
-    # asking; fed the generator (1/2, 2/3) of the limit 4/9, whose 1/2 is
-    # a limit, it raises ConsistencyError rather than DomainError
-    x = F(4, 9)
-    generator = (F(1, 2), F(2, 3))
-    assert apply_rule(generator) == x
-    assert hier.classify(F(1, 2)) is Classification.LIMIT
+        _least_own(F(12, 25), ((2, 19, 6),))
+    # and so is a successor whose every stored prefix generates it
     with pytest.raises(ConsistencyError):
-        _least_own_and_swaps(x, (), [keyed(hier, generator)], lowering(hier))
+        _least_own(F(12, 25), ())
 
 
 def test_predecessor_is_an_own_value_or_a_generator_swap(hier):
     # the claim proved in predecessor's docstring, checked with apply_rule
     # over the stored tuples on every successor below 1/2 in the golden
-    # corpus or in LOW_GRID
+    # corpus or in LOW_GRID: the predecessor is the least own value among
+    # the prefixes that do not generate x
     corpus = json.loads(GOLDEN.read_text())
     frozen = [*corpus["predecessor"], *corpus["ladder_predecessor"]]
     points = {parse_rational(x) for x in frozen}.union(LOW_GRID)
@@ -278,11 +199,42 @@ def test_predecessor_is_an_own_value_or_a_generator_swap(hier):
     for x in sorted(points):
         if x >= F(1, 2) or hier.classify(x) is not Classification.SUCCESSOR:
             continue
-        own, swaps = own_values_and_generator_swaps(hier, x)
-        u = hier.predecessor(x)
-        assert u in own or u in swaps, x
+        assert hier.predecessor(x) == min(prefix_own_values(hier, x)), x
         checked += 1
     assert checked == 223
+
+
+# [7/17, 1/2) with denominators up to 150
+LEMMA_GRID = sorted(
+    {F(n, d) for d in range(2, 151) for n in range(1, d) if F(7, 17) <= F(n, d) < F(1, 2)})
+
+
+def test_a_raised_generator_is_strictly_covered(hier):
+    # the strict-cover lemma of predecessor's proof at the (x, x) entry:
+    # a stored generator S with one component raised to its predecessor,
+    # where every contribution stays positive, is a tuple T at or above S
+    # that totals below x, and the k-prefix of some stored tuple must lie
+    # at or below T and total below x
+    successors = raised = 0
+    for x in LEMMA_GRID:
+        if hier.classify(x) is not Classification.SUCCESSOR:
+            continue
+        successors += 1
+        stored = hier.xd_minimal(x, x).tuples
+        for S in stored:
+            if apply_rule(S) != x:
+                continue
+            for j, p in enumerate(S):
+                T = tuple(sorted(S[:j] + (hier.predecessor(p),) + S[j + 1:]))
+                if any(contribution(x, q) <= 0 for q in T):
+                    continue
+                k = len(T)
+                assert any(
+                    len(R) >= k and all(a <= b for a, b in zip(R, T))
+                    and sum(contribution(x, q) for q in R[:k]) < x
+                    for R in stored), (x, S, j)
+                raised += 1
+    assert (successors, raised) == (140, 584)
 
 
 def test_predecessor_generators_lie_above_a_same_length_stored_tuple(hier):
@@ -335,10 +287,11 @@ def test_every_stored_own_value_is_a_member(hier):
 
 
 def test_every_variant_pools_above_its_tuple(hier):
-    # the search's variants are swaps, and step 4 of predecessor's proof
-    # rests on pooling rising strictly with each component: each swap of a
-    # stored tuple T (a successor component raised to its predecessor)
-    # pools strictly above T's own value
+    # the strict-cover lemma of predecessor's proof rests on pooling
+    # rising strictly with each component, so that a component raised to
+    # its predecessor contributes strictly less: each swap of a stored
+    # tuple T (a successor component raised to its predecessor) pools
+    # strictly above T's own value
     swaps = 0
     for x in [*LOW_GRID, F(7, 17)]:
         for T in hier.xd_minimal(x, x).tuples:
