@@ -42,7 +42,6 @@ bound.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
 
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
@@ -104,27 +103,6 @@ class LimitSequence:
 
     def take(self, n: int) -> list[ExactRational]:
         return [self.term(k) for k in range(n)]
-
-
-def _least_own(x: ExactRational, below: tuple) -> ExactRational:
-    """The least own value among the prefixes of the stored (x, x) entry
-    that do not generate x, the predecessor of the successor x (see
-    predecessor).
-
-    below holds a triple (k, sn, sd) for each length k among those
-    prefixes: sn/sd is their largest reciprocal sum, so their least own
-    value is k*sd / ((k - 1)*sd + sn).
-    """
-    vn, vd = 1, 0  # +infinity until the first length
-    for k, sn, sd in below:
-        num, den = k * sd, (k - 1) * sd + sn
-        if num * vd < vn * den:
-            vn, vd = num, den
-    if not vd:
-        raise ConsistencyError(f"no member candidate above successor {x}")
-    if vn * x._denominator <= x._numerator * vd:
-        raise ConsistencyError(f"a stored prefix that does not generate {x} pools at or below it")
-    return ExactRational(vn, vd)
 
 
 class _Record:
@@ -209,12 +187,9 @@ class Hierarchy:
         seg = self._segment(x)
         if x == seg.r_lo:
             return Classification.LIMIT
-        entry = minimal_sets._xx_entry(self, x)
-        # lo is the largest total among the stored tuples, and a generator
-        # is a stored tuple whose total is x; both ends are reduced
-        if entry[0] != n or entry[1] != den:
+        generators = minimal_sets._generators(self, x)
+        if not generators:
             return Classification.NOT_MEMBER
-        generators = minimal_sets._tuples_at_lo(entry, {})
         if any(self.classify(c) is Classification.LIMIT for T in generators for _, c in T):
             return Classification.LIMIT
         return Classification.SUCCESSOR
@@ -345,9 +320,9 @@ class Hierarchy:
         The search sums no stored tuple: v is the least over k of
         k/(k - 1 + P_k), P_k the largest reciprocal sum of a k-prefix that
         does not generate x. A prefix generates x only when it is a whole
-        stored tuple at lo = x, and minimal_sets._best_below_lo finds each
-        P_k along the visits at lo (_least_own). v is checked:
-        ConsistencyError if it does not lie above x or is no member.
+        stored tuple at lo = x, and minimal_sets._least_own finds each P_k
+        along the visits at lo. v is checked: ConsistencyError if it does
+        not lie above x or is no member.
         """
         self._check(x)
         rec = self._members.get((x._numerator, x._denominator)) or self._record(x)  # hits: no call
@@ -372,7 +347,7 @@ class Hierarchy:
         n = x._numerator
         if 2 * n > x._denominator:  # x > 1/2
             return self._record(self._member_of(n - 1, 2 * n - 3))
-        own = _least_own(x, minimal_sets._best_below_lo(minimal_sets._xx_entry(self, x), {}))
+        own = minimal_sets._least_own(self, x)
         if self.classify(own) is Classification.NOT_MEMBER:
             raise ConsistencyError(f"the least own value above successor {x}, {own}, is no member")
         return self._record(own)
@@ -400,7 +375,7 @@ class Hierarchy:
             p = h_inverse(seg.anchor_low)
             upper = self.limit_sequence(seg.r_hi)
             return self._substituted_sequence((p, p), 1, upper, seg.r_hi)
-        for K in minimal_sets._tuples_at_lo(minimal_sets._xx_entry(self, x), {}):
+        for K in minimal_sets._generators(self, x):
             T = tuple(c for _, c in K)
             for j, c in enumerate(T):
                 if self.classify(c) is Classification.LIMIT:
@@ -490,24 +465,23 @@ class Hierarchy:
         below lies under the floor (FloorError).
 
         One strict climb finds both from a start, a member below p. Let
-        t = p/(1 - p), a the last member below t and f the floor of p's
-        own table (governing_floor). Where p sits (_segment) gives a
-        member b below p:
+        t = p/(1 - p), a the last member below t, r the least member at or
+        above t and f the floor of p's own table (governing_floor). Where
+        p sits (_segment) decides the start:
 
-        - inside a segment [r_lo, r_hi) of the anchor [h(a), h(r)]:
-          f = r_hi and b = r_lo;
-        - at an image p = h(t): f = p, since p governs its own floor, and
-          b = pool(a, p), the bottom of the top segment [pool(a, p), p) of
-          the anchor [h(a), p];
         - at a chain point p = r_lo: the segment under p is
           [pool(a, p), p), over the floor p, one segment under f = r_hi.
           p's entry does not reach it, and the start is its bottom
           pool(a, p).
+        - inside a segment [r_lo, r_hi) of the anchor [h(a), h(r)], where
+          f = r_hi, or at an image p = h(t), where r = t and f = p, as p
+          governs its own floor: the start v0 is read off p's own (p, p)
+          entry (minimal_sets._climb_start). Let b = pool(a, f), the
+          bottom of the segment that holds p, r_lo, or at an image the
+          bottom of the top segment [b, p) of the anchor [h(a), p]. b is a
+          member in (h(a), p).
 
-        In the first two cases the start is the larger of b and a member
-        read off p's own (p, p) entry:
-
-        1. A tuple W of members of [f, a] that pools to v in (b, p) pools
+        1. A tuple W of members of [f, a] that pools to v in [b, p) pools
            to a member. v lies in the anchor, so every component q <= a
            has a positive weight c(v, q), below 1 as q >= f > v; W is a
            valid application (step 3 of predecessor).
@@ -518,14 +492,28 @@ class Hierarchy:
            total above lo, as a candidate that is the total of a tuple
            over [f, a] of length hi_k (minimal_sets._build_set, step 3).
            hi > p, so by 2 that tuple pools to
-           v0 = hi_k p/(hi + hi_k - p) < p, and by 1 the start, the larger
-           of v0 and b, is a member below p (_start_below).
+           v0 = hi_k p/(hi + hi_k - p) < p. By the lemma below v0 >= b,
+           so by 1 the start v0 is a member below p.
         4. From the start the climb steps to the predecessor of a
            successor and into the limit sequence of a limit, never to p or
            past it. The hierarchy is well ordered in descending order, so
            every ascending chain of members is finite and the climb ends,
            at the last member below p. It stops because the member above
            that one lies at or above p.
+
+        Lemma: v0 >= b, wherever p is no chain point.
+
+        - The pair (a, f) lies over [f, a]: f <= h(r), as r_hi <= h(r)
+          and h(t) = h(r), and h(r) <= a, because h(r) is a member below
+          r and no member lies in [t, r). Both contributions at p are
+          positive, because a < t.
+        - hi <= s: b < p, so by 2 the pair totals some s > p >= lo. hi is
+          the least achievable total above lo, so hi <= s.
+        - hi_k >= 2: a singleton m over [f, a] totals
+          c(p, m) = p/m + p - 1 <= p < hi, as m >= f >= p, so no
+          singleton totals hi.
+        - k -> k p/(hi + k - p) rises in k, as hi > p. So
+          v0 >= 2p/(hi + 2 - p) >= 2p/(s + 2 - p) = b.
 
         The start is not always the answer: a tuple pools to
         p/(1 + (s - p)/k), so a longer tuple whose total lies above hi can
@@ -542,21 +530,8 @@ class Hierarchy:
         if seg is not None and p == seg.r_lo:  # a chain point
             start = apply_rule((h_inverse(seg.anchor_low), p))
         else:
-            bottom = seg.r_lo if seg is not None else apply_rule((self.next_below(h_inverse(p)), p))
-            start = self._start_below(p, minimal_sets._xx_entry(self, p), bottom)
+            start = minimal_sets._climb_start(self, p)
         return self._climb(self._record(start), ascending_key(p))
-
-    def _start_below(self, x: ExactRational, entry, bottom: ExactRational) -> ExactRational:
-        """max(bottom, K x/(hi + K - x)) for the (x, x) entry's hi and its
-        longest candidate length K: the member a climb to x starts from
-        (see _straddle)."""
-        xn, xd = x._numerator, x._denominator
-        hn, hd, k = entry[2], entry[3], entry[8]
-        num, den = k * xn * hd, hn * xd + (k * xd - xn) * hd
-        if num * bottom._denominator <= bottom._numerator * den:
-            return bottom
-        g = gcd(num, den)
-        return self._member_of(num // g, den // g)
 
     def _climb(self, rec: _Record, pk):
         """From the member rec below p, the last member below p and the

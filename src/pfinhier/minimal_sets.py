@@ -27,9 +27,10 @@ stored once for the whole interval [lo, hi) of budgets that yields it
 
 The arithmetic is exact and integer-based: the walk keeps budgets,
 contributions and interval ends as integer numerator/denominator pairs
-and compares by cross-multiplication. Only the builder of public sets and
-find_smallest build Fractions, for their answers. Budgets below delta
-admit no tuple and return the empty set before any table lookup.
+and compares by cross-multiplication. Only the builder of public sets,
+find_smallest and the three readers of (x, x) entries below build
+Fractions, for their answers. Budgets below delta admit no tuple and
+return the empty set before any table lookup.
 
 Inside the table a tuple is stored as its exact sort key: the tuple of
 its members' keys (float, member), each built once by the handle's
@@ -52,14 +53,18 @@ bucket per length, and sorts each bucket with a plain sort, which
 compares floats and falls back to the exact members only when two
 floats tie, then drops adjacent repeats (_ordered).
 
-classify, predecessor, limit_sequence and the climb start behind bracket
-and next_below read a stored (x, x) entry (_xx_entry) without building
-its tuples. A tuple sits at lo exactly when it extends an inner tuple at
-lo(inner) through an at-lo visit, so _tuples_at_lo, which classify and
-limit_sequence read, expands the at-lo visits alone (at an (x, x) entry
-with lo = x, to the generators of x), and _best_below_lo, which
-predecessor reads, follows them to the prefix sums of the prefixes below
-lo, neither summing a tuple.
+Hierarchy reads a stored (x, x) entry (_xx_entry) through three calls
+alone, none of which builds all of its tuples or sums one:
+
+- _generators, for classify and limit_sequence: the stored generators
+  of x, empty unless lo = x. A tuple sits at lo exactly when it extends
+  an inner tuple at lo(inner) through an at-lo visit, so _tuples_at_lo
+  expands the at-lo visits alone;
+- _least_own, for predecessor: the least own value above a successor
+  x, from the prefix sums of the prefixes below lo, which _best_below_lo
+  finds by following the at-lo visits;
+- _climb_start, for the climb behind bracket and next_below: the pool
+  of a tuple that totals the entry's hi (Hierarchy._straddle).
 """
 
 from __future__ import annotations
@@ -432,6 +437,15 @@ def _xx_entry(hier, x: ExactRational):
     return _minimal(hier, _budget_table(hier, x), x._numerator, x._denominator)
 
 
+def _climb_start(hier, x: ExactRational) -> ExactRational:
+    """K x/(hi + K - x) for the (x, x) entry's hi and its longest candidate
+    length K: the pool of a K-tuple totalling hi, the member below x that
+    a climb to x starts from (see Hierarchy._straddle)."""
+    _, _, hn, hd, _, _, _, _, k = _xx_entry(hier, x)
+    xn, xd = x._numerator, x._denominator
+    return ExactRational(k * xn * hd, hn * xd + (k * xd - xn) * hd)
+
+
 def _extended(visits, inner_tuples) -> tuple[Keyed, ...]:
     """The keyed tuples of visits, flat (key of y, inner entry): y inserted
     into each of inner_tuples(inner), the empty entry standing for ()."""
@@ -463,6 +477,15 @@ def _tuples_at_lo(entry, expanded: dict) -> tuple[Keyed, ...]:
         return expanded[id(inner)]
 
     return _extended(entry[5], at_lo)
+
+
+def _generators(hier, x: ExactRational) -> tuple[Keyed, ...]:
+    """The stored generators of x, keyed, for an x past its caller's
+    guard: the (x, x) entry's tuples at lo when lo = x, else none."""
+    entry = _xx_entry(hier, x)
+    if entry[0] != x._numerator or entry[1] != x._denominator:  # lo is reduced
+        return ()
+    return _tuples_at_lo(entry, {})
 
 
 def _fold(best: dict, same, shorter, y: ExactRational, alone: bool) -> None:
@@ -523,6 +546,27 @@ def _best_below_lo(entry, below: dict) -> tuple:
         else:
             _fold(best, inner_best, inner_best, yk[1], True)
     return tuple(best.values())
+
+
+def _least_own(hier, x: ExactRational) -> ExactRational:
+    """The least own value among the prefixes of the (x, x) entry's tuples
+    that do not generate x, the predecessor of the successor x (see
+    Hierarchy.predecessor).
+
+    _best_below_lo gives a triple (k, sn, sd) for each length k among
+    those prefixes: sn/sd is their largest reciprocal sum, so their least
+    own value is k*sd / ((k - 1)*sd + sn).
+    """
+    vn, vd = 1, 0  # +infinity until the first length
+    for k, sn, sd in _best_below_lo(_xx_entry(hier, x), {}):
+        num, den = k * sd, (k - 1) * sd + sn
+        if num * vd < vn * den:
+            vn, vd = num, den
+    if not vd:
+        raise ConsistencyError(f"no member candidate above successor {x}")
+    if vn * x._denominator <= x._numerator * vd:
+        raise ConsistencyError(f"a stored prefix that does not generate {x} pools at or below it")
+    return ExactRational(vn, vd)
 
 
 def _minimal(hier, table: _BudgetTable, dn: int, dd: int):

@@ -34,7 +34,7 @@ class Ordinal:
     def __post_init__(self):
         prev = None
         for exp, coeff in self.terms:
-            if not isinstance(coeff, int) or coeff < 1:
+            if isinstance(coeff, bool) or not isinstance(coeff, int) or coeff < 1:
                 raise ConsistencyError(f"coefficient must be a positive integer: {coeff}")
             if prev is not None and not exp < prev:
                 raise ConsistencyError("exponents must be strictly decreasing")
@@ -115,7 +115,7 @@ OMEGA = Ordinal(((ORD_ONE, 1),))
 
 
 def from_int(n: int) -> Ordinal:
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InputError(f"not a natural number: {n!r}")
     return ORD_ZERO if n == 0 else Ordinal(((ORD_ZERO, n),))
 

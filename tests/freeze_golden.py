@@ -30,7 +30,10 @@ Run from the repository root to rewrite tests/golden.json:
     PYTHONPATH=src python tests/freeze_golden.py
 
 The file is not collected by pytest (its name does not start with
-`test_`). Rewrite the corpus only when an answer is meant to change.
+`test_`). Rewrite the corpus only when an answer is meant to change. It
+imports the standard library, the package and tests/oracles.py alone, so
+a Python without pytest can replay the corpus as tests/test_golden.py
+does, by comparing dumps(build_corpus(...)) with the file.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from pfinhier import (
 from pfinhier.teams import _allocation_team_size, team_size
 from pfinhier.trees import Labeling, format_path
 
-from test_acceptance import rand_tree
+from oracles import rand_tree
 
 GOLDEN = Path(__file__).with_name("golden.json")
 

@@ -227,6 +227,14 @@ def covered_by_some(T, stored) -> bool:
     )
 
 
+def rand_tree(rng, depth: int):
+    """A random tree of at most depth levels below its root, each node
+    with one to four children; rng is a random.Random."""
+    if depth == 0 or rng.random() < 0.35:
+        return ()
+    return tuple(rand_tree(rng, depth - 1) for _ in range(rng.randint(1, 4)))
+
+
 def rule_closure_value(tree) -> Fraction:
     """Tree value with a membership certificate.
 

@@ -44,6 +44,7 @@ from oracles import (
     base_members,
     dominated_by_some,
     labeling_feasible,
+    rand_tree,
     rule_closure_value,
     sample_allowed_tuples,
     valid_rule_values,
@@ -62,12 +63,6 @@ def report(n: int, label: str, t0: float, bound: float):
     line = f"criterion {n} ({label}): PASS in {dt:.2f}s (bound {bound:g}s)"
     print(line)
     assert dt < bound, line
-
-
-def rand_tree(rng, depth: int):
-    if depth == 0 or rng.random() < 0.35:
-        return ()
-    return tuple(rand_tree(rng, depth - 1) for _ in range(rng.randint(1, 4)))
 
 
 def test_criterion_1_base_segment(ahier):

@@ -23,13 +23,7 @@ from pfinhier import (
     parse_rational,
 )
 from pfinhier import hierarchy, minimal_sets
-from pfinhier.hierarchy import _least_own
-from pfinhier.minimal_sets import (
-    _best_below_lo,
-    _stripped,
-    _tuples_at_lo,
-    _xx_entry,
-)
+from pfinhier.minimal_sets import _generators, _least_own, _stripped, _xx_entry
 
 from freeze_golden import GOLDEN
 from oracles import base_members, climb_bracket, dominated_by_some, eager_predecessor, generates
@@ -172,19 +166,20 @@ def prefix_own_values(hier, x):
             for k in range(1, len(T) + 1)} - {x}
 
 
-def test_search_yields_the_least_own_value(hier):
+def test_search_yields_the_least_own_value(hier, monkeypatch):
     # from the stored entry alone, the search finds the least own value
     # among the prefixes that do not generate x, as apply_rule finds it
     # over the public set
     for x in (F(12, 25), F(48, 115)):
-        assert _least_own(x, _best_below_lo(_xx_entry(hier, x), {})) == min(
-            prefix_own_values(hier, x)), x
+        assert _least_own(hier, x) == min(prefix_own_values(hier, x)), x
     # a non-generator pooling at x is a bug: (3/5, 2/3) generates 12/25
+    monkeypatch.setattr(minimal_sets, "_best_below_lo", lambda entry, below: ((2, 19, 6),))
     with pytest.raises(ConsistencyError):
-        _least_own(F(12, 25), ((2, 19, 6),))
+        _least_own(hier, F(12, 25))
     # and so is a successor whose every stored prefix generates it
+    monkeypatch.setattr(minimal_sets, "_best_below_lo", lambda entry, below: ())
     with pytest.raises(ConsistencyError):
-        _least_own(F(12, 25), ())
+        _least_own(hier, F(12, 25))
 
 
 def test_predecessor_is_an_own_value_or_a_generator_swap(hier):
@@ -257,7 +252,7 @@ def test_predecessor_generators_lie_above_a_same_length_stored_tuple(hier):
             T_u = [(u,)]
         else:
             assert hier.governing_floor(u) == r_hi, (x, u)
-            T_u = _stripped(_tuples_at_lo(_xx_entry(hier, u), {}))
+            T_u = _stripped(_generators(hier, u))
         stored = hier.xd_minimal(x, x).tuples
         for T in T_u:
             assert apply_rule(T) == u and dominated_by_some(T, stored), (x, T)
@@ -427,39 +422,50 @@ def test_bracket_and_next_below_match_the_climb_oracle(hier):
 
 
 def climb_start(hier, x):
-    """Where _straddle starts its climb to x: the larger of the member
-    below x that x's place gives and the pool of the longest hi candidate
-    of x's entry, or, at a chain point, the bottom of the segment below."""
-    t = h_inverse(x)
-    if hier.is_member(t):  # an image
-        bottom = apply_rule((hier.next_below(t), x))
-    else:
+    """Where _straddle starts its climb to x: the pool of the longest hi
+    candidate of x's entry, or, at a chain point, the bottom of the
+    segment below."""
+    if not hier.is_member(h_inverse(x)):  # not an image
         seg = hier.segment_of(x)
         if x == seg.r_lo:
             return apply_rule((h_inverse(seg.anchor_low), x))
-        bottom = seg.r_lo
     entry = _xx_entry(hier, x)
     hi, k = F(entry[2], entry[3]), entry[8]
-    assert hi > x and k >= 1
-    return max(bottom, k * x / (hi + k - x))
+    assert hi > x and k >= 2
+    return k * x / (hi + k - x)
+
+
+def segment_bottom(hier, x):
+    """b of _straddle's lemma: the bottom of the segment that holds x, or,
+    at an image, of the segment just under it; x itself at a chain point."""
+    t = h_inverse(x)
+    if hier.is_member(t):
+        return apply_rule((hier.next_below(t), x))
+    return hier.segment_of(x).r_lo
 
 
 def test_the_climb_starts_at_a_member_at_or_below_the_answer(hier):
     # steps 1 to 3 of _straddle's proof: the start is a member at or below
     # the last member under x, which is bracket's lower member for a
-    # non-member and next_below for a member. On the grid it is that
-    # member, except at the chain points 16/39, 8/19 and 4/9, whose climbs
-    # start at the bottom of the segment below them, and at 306/727: hi
-    # comes from a pair, pooling to 210/499, and the member below is
-    # 117/278, the pool of a triple whose total lies above hi
+    # non-member and next_below for a member, and, by its lemma, at or
+    # above the bottom of x's segment. On the grid it is that member,
+    # except at the chain points 16/39, 8/19 and 4/9, whose climbs start
+    # at the bottom of the segment below them, and at 306/727: hi comes
+    # from a pair, pooling to 210/499, and the member below is 117/278,
+    # the pool of a triple whose total lies above hi
     points = CLIMB_GRID + [F(306, 727)]
-    exact = 0
+    exact = chain_points = 0
     for x in points:
         start = climb_start(hier, x)
         answer = hier.next_below(x) if hier.is_member(x) else hier.bracket(x)[0]
         assert hier.is_member(start) and start <= answer < x, x
         exact += start == answer
-    assert (len(points), exact) == (100, 96)
+        bottom = segment_bottom(hier, x)
+        if bottom == x:
+            chain_points += 1
+        else:
+            assert start >= bottom, x
+    assert (len(points), exact, chain_points) == (100, 96, 3)
     x, triple = F(306, 727), (F(26, 51), F(3, 5), F(2, 3))
     assert climb_start(hier, x) == F(210, 499)
     assert hier.bracket(x)[0] == F(117, 278) == apply_rule(triple)

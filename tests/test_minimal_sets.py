@@ -97,6 +97,24 @@ def test_find_smallest_advances(hier):
     assert find_smallest(hier, P(hier, x, F(7, 25))) == F(8, 25)
 
 
+@pytest.mark.parametrize("x, smallest", [(F(14, 29), F(43, 87)), (F(13, 27), F(79, 162))], ids=str)
+def test_find_smallest_skips_lowering_the_floor(hier, x, smallest):
+    # the (x, x) set holds its floor, whose member below lies under it, so
+    # find_smallest offers no change that lowers it: its answer is the
+    # least total above d among the changes its docstring lists. The walk
+    # never prices such a set: below 1/2 a tuple holds the floor beside
+    # another component only at a chain point, beside a successor
+    ms = P(hier, x, x)
+    assert (ms.floor,) in ms
+    totals = []
+    for T in ms.tuples + ((),):
+        changes = [T + (ms.p0_prime,)]
+        changes += [T[:j] + (hier.next_below(p),) + T[j + 1:]
+                    for j, p in enumerate(T) if p > ms.floor]
+        totals += [sum(contribution(x, q) for q in C) for C in changes]
+    assert find_smallest(hier, ms) == min(t for t in totals if t > x) == smallest
+
+
 def test_exact_totals_witness_membership(hier):
     # a member's full-budget set contains a tuple hitting the budget exactly,
     # and the rule applied to it reproduces the member
@@ -125,6 +143,16 @@ def test_membership_and_container_protocol(hier):
     fresh = P(Hierarchy(floor_level=4), F(12, 25), F(12, 25))
     assert fresh is not ms and fresh == ms and hash(fresh) == hash(ms)
     assert fresh != P(hier, F(12, 25), F(1, 5))
+
+
+@pytest.mark.parametrize("check", [
+    lambda ms: not ms == ms.tuples and ms != ms.tuples,
+    lambda ms: not ms == repr(ms),
+    lambda ms: repr(ms).startswith("MinimalSet(x=Fraction(12, 25), d=Fraction(12, 25), "),
+    lambda ms: eval(repr(ms), {"MinimalSet": minimal_sets.MinimalSet, "Fraction": F}) == ms,
+], ids=["eq-tuples", "eq-other", "repr-fields", "repr-round-trip"])
+def test_a_set_equals_no_other_type_and_prints_its_fields(hier, check):
+    assert check(P(hier, F(12, 25), F(12, 25)))
 
 
 def test_domination_oracle(hier):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pfinhier import (
+    ConsistencyError,
     DomainError,
     InputError,
     OMEGA,
@@ -103,6 +104,37 @@ BAD_EXPRESSIONS = [
     ("w+)", "unexpected token ')' in ordinal expression"),
     ("w+", "ordinal expression ended unexpectedly"),
 ]
+
+
+W_PLUS_2 = parse_ordinal("w+2")
+
+
+@pytest.mark.parametrize("expr, expected", [
+    # the operators are the standard operations
+    (lambda: OMEGA + ONE_ORD, lambda: ord_add(OMEGA, ONE_ORD)),
+    (lambda: W_PLUS_2 - OMEGA, lambda: ord_sub(W_PLUS_2, OMEGA)),
+    (lambda: OMEGA * from_int(2), lambda: ord_mul(OMEGA, from_int(2))),
+    # a zero factor on either side
+    (lambda: ord_mul(ZERO_ORD, OMEGA), lambda: ZERO_ORD),
+    (lambda: ord_mul(W_PLUS_2, ZERO_ORD), lambda: ZERO_ORD),
+    # an ordinal equals no other type, not even the int it counts
+    (lambda: ONE_ORD == 1, lambda: False),
+    (lambda: OMEGA == "w", lambda: False),
+], ids=["add", "sub", "mul", "mul-zero-left", "mul-zero-right", "eq-int", "eq-str"])
+def test_operators_and_equality(expr, expected):
+    assert expr() == expected()
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: from_int(-1), InputError),
+    (lambda: from_int(True), InputError),
+    (lambda: Ordinal(((ZERO_ORD, True),)), ConsistencyError),
+], ids=["from-int-negative", "from-int-bool", "coefficient-bool"])
+def test_refused_naturals_and_coefficients(build, error):
+    # True equals 1 but would print as "True": bools are refused like
+    # negative numbers
+    with pytest.raises(error):
+        build()
 
 
 def test_parse_rejects_malformed():

@@ -241,6 +241,19 @@ def test_simulate_input_checks(hier):
         simulate_team(c, MachineTrace(tree=parse_tree("(())"), labeling=slack))
 
 
+@pytest.mark.parametrize("nu1, nu2, reason", [
+    ({(): F(1, 3)}, {(): F(0)}, "condition 1: root nu1 1/3 < p"),
+    ({(): F(2, 3)}, {(): F(1, 3)}, "condition 1: root nu2 is nonzero"),
+    ({(): F(-1, 3)}, {(): F(0)}, "negative label at node ''"),
+], ids=["root-short", "root-inflow", "negative"])
+def test_simulate_refuses_an_invalid_trace_labeling(hier, nu1, nu2, reason):
+    # an (x, 1)-labeling that fails validate_labeling is bad input
+    lab = Labeling(p=F(2, 3), q=F(1), nu1=nu1, nu2=nu2)
+    assert validate_labeling((), lab) == (False, reason)
+    with pytest.raises(InputError, match=f"invalid trace labeling: {reason}"):
+        simulate_team(make_context(hier, F(2, 3)), MachineTrace(tree=(), labeling=lab))
+
+
 def test_trace_round_trip(hier):
     tree = parse_tree("(()(()()()))")
     trace = MachineTrace(tree=tree, labeling=rational_labeling(tree))
