@@ -574,7 +574,7 @@ class Hierarchy:
         floor edge 1/(L+1), whose neighbor lies under the floor (FloorError).
 
         Above 1/2 it is the closed form (n+1)/(2n+1), the first member of
-        _around there, which teams' funding rows ask for in bulk. At or
+        _around there; each row of a funding list asks for one. At or
         below 1/2 it is the first member of _straddle, whose member at or
         above u must be u itself.
         """

@@ -11,6 +11,8 @@ The funding analysis lives in `g_function` (single follower mass) and
 
 Above 1/2 a context is a closed form: its pool is the ladder of base
 members from p0 up to 1, and no minimal set is walked (see make_context).
+Team sizes price a context's rows from integers; its funding list is
+built when g_prime first reads it.
 """
 
 from bisect import bisect_right
@@ -46,7 +48,9 @@ class SimulationContext:
     row); p0_upper_pred is its predecessor, None above 1/2 where
     p0_upper is the maximal element.  funding lists (cost, value, row)
     triples: spending cost on a child buys value toward its success
-    count and lands the child on the given row of P_prime.
+    count and lands the child on the given row of P_prime.  It is built
+    on first read from the other fields, so the constructor does not take
+    it and == and repr omit it.
     """
 
     x: ExactRational
@@ -54,13 +58,16 @@ class SimulationContext:
     p0_upper: ExactRational
     p0_upper_pred: ExactRational | None
     P_prime: tuple[ExactRational, ...]
-    funding: tuple[tuple[ExactRational, ExactRational, ExactRational], ...]
     hier: Hierarchy = field(compare=False, repr=False)
     _gp_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def base(self) -> bool:
         return self.p0 > HALF
+
+    @cached_property
+    def funding(self):
+        return _funding_items(self.hier, self.x, self.p0, self.P_prime, self.p0_upper_pred)
 
     @cached_property
     def ranked(self):
@@ -93,7 +100,8 @@ def _funding_items(hier, x, p0, P_prime, p0_upper_pred):
 
 @memoized
 def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
-    """Assemble the simulation context for success level x.
+    """Assemble the simulation context for success level x (its funding
+    list is built on first read).
 
     x need not be a hierarchy member; p0 rounds it up to one. P_prime is
     the pool of the (x, x)-minimal set P and p0_upper its p0'. Above 1/2
@@ -138,14 +146,12 @@ def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
                 f"reserve success bound fails for x={x}: "
                 f"{p0_upper_pred} * (1 - {p0}) < {p0}"
             )
-    funding = _funding_items(hier, x, p0, P_prime, p0_upper_pred)
     return SimulationContext(
         x=x,
         p0=p0,
         p0_upper=p0_upper,
         p0_upper_pred=p0_upper_pred,
         P_prime=P_prime,
-        funding=funding,
         hier=hier,
     )
 
@@ -196,18 +202,19 @@ def g_prime(ctx: SimulationContext, r: ExactRational) -> ExactRational:
     memo = ctx._gp_memo
 
     def best(i: int, budget: ExactRational) -> ExactRational:
-        while i < len(items) and items[i][0] > budget:
-            i += 1
-        if i == len(items):
-            return ZERO
         key = (i, budget)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        cost, value, _ = items[i]
-        take = value + best(i, budget - cost)
-        skip = best(i + 1, budget)
-        out = take if take > skip else skip
+        while i < len(items) and items[i][0] > budget:
+            i += 1
+        if i == len(items):
+            out = ZERO
+        else:
+            cost, value, _ = items[i]
+            take = value + best(i, budget - cost)
+            skip = best(i + 1, budget)
+            out = take if take > skip else skip
         memo[key] = out
         return out
 
@@ -227,18 +234,24 @@ def _modulus(n: int, d: int, m: int) -> int:
 
 
 def _closure_size(ctx: SimulationContext, k: int, size) -> int:
-    """lcm of k with every funding denominator and sub-team modulus of ctx.
+    """lcm of k with every funding value's denominator and sub-team
+    modulus of ctx, read off its rows without building the funding list:
+    row q's value c(p0, q) is (pn*(qd + qn) - pd*qn)/(pd*qn).
 
     size(q) is the team size the recursion demands at row q. Rows are
     asked from the largest down, so the recursion at each row finds the
     rows above it already memoized instead of nesting under them.
     """
-    for _, value, _ in ctx.funding:
-        k = lcm(k, value.denominator)
     pn, pd = ctx.p0.numerator, ctx.p0.denominator
+    xn, xd = ctx.x.numerator, ctx.x.denominator
     for q in reversed(ctx.P_prime):
-        if q != ctx.x:
-            k = lcm(k, _modulus(pn * q.denominator, pd * q.numerator, size(q)))
+        qn, qd = q.numerator, q.denominator
+        num, den = pn * (qd + qn) - pd * qn, pd * qn
+        if num <= 0:
+            raise ConsistencyError(f"row {q} has value {num}/{den} at x={ctx.x}")
+        k = lcm(k, den // gcd(num, den))
+        if qn != xn or qd != xd:
+            k = lcm(k, _modulus(pn * qd, pd * qn, size(q)))
     if ctx.p0_upper_pred is not None:
         k = lcm(k, _modulus(pd - pn, pd, size(ctx.p0_upper_pred)))
     return k

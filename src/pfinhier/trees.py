@@ -196,12 +196,14 @@ def validate_labeling(tree: Tree, lab: Labeling):
         for c in children:
             if lab.nu1[c] + lab.nu2[c] < lab.p:
                 return False, f"condition 2: node total below p at node '{format_path(c)}'"
-    for leaf in leaf_paths(tree):
-        total = ZERO
-        for k in range(len(leaf) + 1):
-            total += lab.nu1[leaf[:k]]
-        if total > lab.q:
-            return False, f"condition 3: branch nu1 total exceeds q at leaf '{format_path(leaf)}'"
+    # totals[d]: nu1 total from the root to the current node's depth-d
+    # ancestor; preorder meets leaves in leaf_paths order
+    totals: list[ExactRational] = []
+    for path, sub in iter_nodes(tree):
+        del totals[len(path):]
+        totals.append((totals[-1] if totals else ZERO) + lab.nu1[path])
+        if not sub and totals[-1] > lab.q:
+            return False, f"condition 3: branch nu1 total exceeds q at leaf '{format_path(path)}'"
     return True, "ok"
 
 

@@ -6,16 +6,18 @@ enumeration over the base segment, an exhaustive/random allowed-tuple
 generator, an exact-rational LP feasibility decision for labelings, the
 eager predecessor search the kernel's lazy one must agree with, and a
 bracket that climbs from the bottom of the level instead of reading the
-point's own minimal set, and a team simulation context assembled from
-the walked (x, x)-minimal set at every x. Slower than the kernel by design; correctness
-over speed.
+point's own minimal set, a team simulation context assembled from
+the walked (x, x)-minimal set at every x, and team sizes closed over
+eagerly built funding lists. Slower than the kernel by design;
+correctness over speed.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
-from pfinhier import Classification, apply_rule, contribution, is_valid_application
+from pfinhier import Classification, apply_rule, contribution, is_valid_application, make_context
 from pfinhier.minimal_sets import component_pool
 from pfinhier.teams import _funding_items
 from pfinhier.trees import iter_nodes, leaf_paths
@@ -211,6 +213,41 @@ def walked_context(hier, x: Fraction) -> tuple:
     P_prime = component_pool(P)
     pred = None if P.p0_prime == ONE else hier.predecessor(P.p0_prime)
     return x, p0, P_prime, P.p0_prime, pred, _funding_items(hier, x, p0, P_prime, pred)
+
+
+def eager_team_sizes(hier, allocation: bool):
+    """team_size (allocation False) or the allocator's _allocation_team_size
+    (True) as a function of a member, each context's closure taken over its
+    eagerly built funding list: the lcm of k (p0's denominator for the
+    allocator, 1 otherwise) with every funding value's denominator and the
+    least M such that k' * p0/q is a multiple of size(q) whenever M divides
+    k', at each row q other than x, and at the reserve row with 1 - p0.
+    Sizes are shared across calls on the returned function."""
+    sizes = {}
+
+    def modulus(v: Fraction, m: int) -> int:
+        return v.denominator * m // gcd(v.numerator, v.denominator * m)
+
+    def size(p: Fraction) -> int:
+        if p not in sizes:
+            sizes[p] = closure(p)
+        return sizes[p]
+
+    def closure(p: Fraction) -> int:
+        if (p == ONE) if allocation else (p >= HALF):
+            return p.denominator
+        c = make_context(hier, p)
+        k = c.p0.denominator if allocation else 1
+        for _, value, _ in _funding_items(hier, c.x, c.p0, c.P_prime, c.p0_upper_pred):
+            k = lcm(k, value.denominator)
+        for q in reversed(c.P_prime):
+            if q != c.x:
+                k = lcm(k, modulus(c.p0 / q, size(q)))
+        if c.p0_upper_pred is not None:
+            k = lcm(k, modulus(ONE - c.p0, size(c.p0_upper_pred)))
+        return k
+
+    return size
 
 
 def dominated_by_some(T, stored) -> bool:

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from pfinhier import (
+    Classification,
+    ConsistencyError,
     DomainError,
     Hierarchy,
     InputError,
@@ -20,10 +22,10 @@ from pfinhier import (
     team_size,
     validate_labeling,
 )
-from pfinhier import minimal_sets
-from pfinhier.teams import MachineTrace, _allocation_team_size
+from pfinhier import minimal_sets, teams
+from pfinhier.teams import MachineTrace, SimulationContext, _allocation_team_size, _closure_size
 
-from oracles import walked_context
+from oracles import eager_team_sizes, walked_context
 
 
 def test_context_fields(hier):
@@ -110,6 +112,68 @@ def test_star_contexts_walk_no_minimal_set(monkeypatch):
     assert alloc.k == 1430046356193630062116189594785722721150
     assert team_size(h, F(96, 191)) == 191
     assert walks == []
+
+
+def test_a_base_star_builds_one_funding_list(monkeypatch):
+    # only g_prime reads a context's funding, and on a star only the root
+    # context's: 96 rows, each but the top one (whose ceiling is 1) asking
+    # next_below once. A leaf's context is read for its p0 and allocation
+    # team size alone
+    lists, below = [], []
+    real_items = teams._funding_items
+    real_next_below = Hierarchy.next_below
+
+    def items(*args):
+        lists.append(real_items(*args))
+        return lists[-1]
+
+    def next_below(self, u):
+        below.append(u)
+        return real_next_below(self, u)
+
+    monkeypatch.setattr(teams, "_funding_items", items)
+    monkeypatch.setattr(Hierarchy, "next_below", next_below)
+    h = Hierarchy(floor_level=4)
+    tree = parse_tree("(" + "()" * 96 + ")")
+    lab = rational_labeling(tree)
+    alloc = simulate_team(make_context(h, lab.p), MachineTrace(tree=tree, labeling=lab))
+    assert alloc.k == 1430046356193630062116189594785722721150
+    assert (len(lists), sum(map(len, lists)), len(below)) == (1, 96, 95)
+
+
+def test_closure_sizes_match_the_eager_funding():
+    # the closure prices each row from integers and builds no funding
+    # list; the oracle closes over the eagerly built lists
+    h = Hierarchy()
+    points = [F(n, 2 * n - 1) for n in range(1, 121)]
+    points += sorted(
+        p for p in {F(a, b) for b in range(2, 31) for a in range(1, b)}
+        if F(5, 12) <= p < F(1, 2) and h.classify(p) is not Classification.NOT_MEMBER
+    )
+    assert len(points) == 134
+    sizes, allocation_sizes = eager_team_sizes(h, False), eager_team_sizes(h, True)
+    for p in points:
+        assert team_size(h, p) == sizes(p), p
+        assert _allocation_team_size(h, p) == allocation_sizes(p), p
+
+
+def test_degenerate_funding_still_raises(monkeypatch):
+    # a context prices no funding item until g_prime reads its funding
+    h = Hierarchy()
+    monkeypatch.setattr(teams, "contribution", lambda x, p: F(0))
+    c = make_context(h, F(12, 25))
+    with pytest.raises(ConsistencyError, match="degenerate funding item"):
+        g_prime(c, F(1, 5))
+    monkeypatch.undo()
+    # c(1/2, 1) = 0: the closure refuses the row before sizing anything
+    c = SimulationContext(
+        x=F(1, 2), p0=F(1, 2), p0_upper=F(2, 3), p0_upper_pred=F(1),
+        P_prime=(F(1, 2), F(1)), hier=h,
+    )
+    with pytest.raises(ConsistencyError, match="row 1 has value 0"):
+        _closure_size(c, 1, lambda q: 1)
+    with pytest.raises(ConsistencyError, match="degenerate funding item"):
+        c.funding
 
 
 def test_team_caches_stay_per_hierarchy():

@@ -135,6 +135,18 @@ def test_validator_rejections():
         validate_labeling(tree, missing)
 
 
+def test_validator_names_a_violating_leaf_at_the_deepest_level():
+    # a shallow leaf, then a chain down to the deepest level parse_tree
+    # accepts; only the deep branch's nu1 total (2) exceeds q = 1
+    tree = parse_tree("(()" + "(" * (MAX_DEPTH - 1) + ")" * (MAX_DEPTH - 1) + ")")
+    paths = [path for path, _ in iter_nodes(tree)]
+    deep = max(paths, key=len)
+    assert len(deep) + 1 == MAX_DEPTH
+    lab = Labeling(F(1, 100), F(1), {p: F(1, 100) for p in paths}, {p: F(0) for p in paths})
+    report = f"condition 3: branch nu1 total exceeds q at leaf '{'.'.join(map(str, deep))}'"
+    assert validate_labeling(tree, lab) == (False, report)
+
+
 def test_scale_labeling():
     tree = parse_tree("(()())")
     lab = rational_labeling(tree)
