@@ -15,16 +15,17 @@ member below it. Only successors also have an immediate member above
 them (the predecessor); limit members are approached from above by
 computable strictly decreasing sequences. Below 1/2, one routine
 (_straddle) finds the last member below a point and the least member at
-or above it, for bracket, next_below and the walk's thresholds alike. It
-starts from a member below the point, found from where the point sits
-(_segment) and the point's own minimal-set entry, and climbs from it
-through predecessors and limit sequences; being an ascending chain, the
-climb ends.
+or above it, for bracket, next_below and the walk's thresholds alike. A
+point in the gap below a linked successor's predecessor is read off an
+index of the links; any other climbs from a member below it, found from
+where it sits (_segment) and its own minimal-set entry, through
+predecessors and limit sequences. Being an ascending chain, the climb
+ends, at a link the index keeps.
 
 All queries live on a Hierarchy object, which memoizes segments, limit
-sequences, brackets and the members around each point per instance. It
-also owns the minimal-set tables, one per x over the governing floor of
-x, each set stored once for the whole interval of budgets that yields
+sequences and brackets per instance and indexes its predecessor links.
+It also owns the minimal-set tables, one per x over the governing floor
+of x, each set stored once for the whole interval of budgets that yields
 it. A memoized limit sequence keeps every term it has computed.
 
 Its intern table, keyed on (numerator, denominator), holds one record
@@ -41,7 +42,9 @@ bound.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from operator import attrgetter
 
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
@@ -125,6 +128,9 @@ class Hierarchy:
         self.floor_level = floor_level
         # (numerator, denominator) -> the value's record
         self._members: dict[tuple[int, int], _Record] = {}
+        # the records whose pred is set, ascending, and their floats (_in_gap)
+        self._gap_lows: list[float] = []
+        self._gap_recs: list[_Record] = []
 
     def _record(self, value: ExactRational) -> _Record:
         """This hierarchy's one record for the value."""
@@ -341,7 +347,24 @@ class Hierarchy:
             if self._classified(rec) is not Classification.SUCCESSOR:
                 raise ConsistencyError(f"the kernel asked for a predecessor of {rec.key[1]}")
             rec.pred = self._predecessor(rec.key[1])
+            i = bisect_left(self._gap_recs, rec.key, key=attrgetter("key"))
+            self._gap_lows.insert(i, rec.key[0])
+            self._gap_recs.insert(i, rec)
         return rec.pred
+
+    def _in_gap(self, n: int, d: int):
+        """The members b and pred(b) of a proved link with b < n/d <= pred(b), or None."""
+        recs = self._gap_recs
+        i = bisect_right(self._gap_lows, n / d) - 1
+        # floats of distinct values can tie (see ascending_key): step back
+        # past links that sort with n/d's float but start at or above it
+        while i >= 0 and recs[i].key[1]._numerator * d >= n * recs[i].key[1]._denominator:
+            i -= 1
+        if i >= 0:
+            b, a = recs[i].key[1], recs[i].pred.key[1]
+            if n * a._denominator <= a._numerator * d:
+                return b, a
+        return None
 
     def _predecessor(self, x: ExactRational) -> _Record:
         n = x._numerator
@@ -456,13 +479,17 @@ class Hierarchy:
         if 2 * n > d:
             m = n // (2 * n - d)
             return self._member_of(m + 1, 2 * m + 1), self._member_of(m, 2 * m - 1)
-        return self._straddle(ExactRational(n, d))
+        return self._in_gap(n, d) or self._straddle(ExactRational(n, d))
 
-    @memoized
     def _straddle(self, p: ExactRational):
         """The last member below p and the least member at or above it,
         for p at or below 1/2. At the floor edge p = 1/(L+1) the member
         below lies under the floor (FloorError).
+
+        A proved gap answers first: no member lies between a successor b
+        and a = pred(b), so every p in (b, a] has the answer (b, a).
+        _in_gap checks b < p <= a exactly, and a miss climbs as below.
+        Every climb ends at a link that _lowered records in the index.
 
         One strict climb finds both from a start, a member below p. Let
         t = p/(1 - p), a the last member below t, r the least member at or
@@ -526,6 +553,9 @@ class Hierarchy:
         if p._numerator * (self.floor_level + 1) == p._denominator:
             # the floor edge: the members below it lie under the floor
             self._check(ExactRational(1, self.floor_level + 2))
+        gap = self._in_gap(p._numerator, p._denominator)
+        if gap:
+            return gap
         seg = self._segment(p)
         if seg is not None and p == seg.r_lo:  # a chain point
             start = apply_rule((h_inverse(seg.anchor_low), p))

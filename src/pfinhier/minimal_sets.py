@@ -613,6 +613,7 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
     lower_hi_by(0, 1, 0, below)  # (a)
     rec = hier._record(y)
     prev_n, prev_d = 0, 1  # the last visited component; none yet, and y > 0
+    entry = None  # the last visit's inner entry
     while True:
         yk = rec.key
         y = yk[1]
@@ -627,7 +628,12 @@ def _walk(hier, table: _BudgetTable, dn: int, dd: int):
         if cn * ed < en * cd:  # c < delta, so d - c > d - delta
             raise ConsistencyError("recursive budget must drop by at least delta")
         rn, rd = dn * cd - cn * dd, dd * cd  # d - c, unreduced: gcd costs more than it saves
-        iln, ild, ihn, ihd, _, _, _, _, ihk = entry = _minimal(hier, table, rn, rd)
+        # r = d - c rises along the walk, as c(x, y) falls: while it stays
+        # below the last inner entry's hi, it lies in that entry's interval.
+        # The reused entry skips _minimal's budget guard, which could not
+        # fire: r > the last r >= 0, and r < d <= x.
+        if entry is None or rn * ihd >= ihn * rd:
+            iln, ild, ihn, ihd, _, _, _, _, ihk = entry = _minimal(hier, table, rn, rd)
         visits += yk, entry
         # the largest total through y: c(x, y) + lo(inner)
         tn, td = cn * ild + iln * cd, cd * ild

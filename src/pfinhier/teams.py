@@ -234,22 +234,31 @@ def _modulus(n: int, d: int, m: int) -> int:
 
 
 def _closure_size(ctx: SimulationContext, k: int, size) -> int:
-    """lcm of k with every funding value's denominator and sub-team
-    modulus of ctx, read off its rows without building the funding list:
-    row q's value c(p0, q) is (pn*(qd + qn) - pd*qn)/(pd*qn).
+    """lcm of k with every sub-team modulus of ctx, read off its rows
+    without building the funding list: row q's value c(p0, q) is
+    (pn*(qd + qn) - pd*qn)/(pd*qn), and must be positive.
 
     size(q) is the team size the recursion demands at row q. Rows are
     asked from the largest down, so the recursion at each row finds the
     rows above it already memoized instead of nesting under them.
+
+    The result K also makes every row value times K an integer:
+
+    - K p0 is an integer. The allocator's k starts from p0's
+      denominator. team_size starts from 1, but below 1/2, where it
+      reaches here, p0' < 1, so ctx has a reserve row, whose modulus
+      makes K(1 - p0) an integer.
+    - Each row q other than x has a modulus that makes K p0/q an
+      integer, so K c(p0, q) = K p0/q + K p0 - K is one.
+    - A row q = x is a member, so p0 = x and K c(p0, x) = K(2 p0 - 1).
     """
     pn, pd = ctx.p0.numerator, ctx.p0.denominator
     xn, xd = ctx.x.numerator, ctx.x.denominator
     for q in reversed(ctx.P_prime):
         qn, qd = q.numerator, q.denominator
-        num, den = pn * (qd + qn) - pd * qn, pd * qn
+        num = pn * (qd + qn) - pd * qn
         if num <= 0:
-            raise ConsistencyError(f"row {q} has value {num}/{den} at x={ctx.x}")
-        k = lcm(k, den // gcd(num, den))
+            raise ConsistencyError(f"row {q} has value {num}/{pd * qn} at x={ctx.x}")
         if qn != xn or qd != xd:
             k = lcm(k, _modulus(pn * qd, pd * qn, size(q)))
     if ctx.p0_upper_pred is not None:

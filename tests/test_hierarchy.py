@@ -1,6 +1,7 @@
 """Classification, neighbors, limit sequences, and the decision procedure."""
 
 import json
+import random
 import sys
 from bisect import bisect_left
 from collections import Counter
@@ -496,17 +497,74 @@ def test_bracket_of_a_limit_term_walks_no_set_of_its_own(monkeypatch):
 
 
 def test_one_climb_answers_each_point_below_half(monkeypatch):
-    # the members around a point below 1/2 come from _straddle alone: a cold
-    # classify(7/17) leaves no bracket or next_below memo, and each
-    # _straddle entry ran one climb
-    climbs, climb = [], Hierarchy._climb
-    monkeypatch.setattr(Hierarchy, "_climb", lambda self, rec, pk: (
-        climbs.append(pk) or climb(self, rec, pk)))
+    # the members around a point below 1/2 come from the gap index or from
+    # one climb: a cold classify(7/17) leaves no _straddle, bracket or
+    # next_below memo, and each climb adds its answer to the index as a
+    # link, so no later point in that gap climbs
+    added, climb = [], Hierarchy._climb
+
+    def recorded(self, rec, pk):
+        known = set(map(id, self._gap_recs))
+        below, above = climb(self, rec, pk)
+        link = self._record(below)
+        assert link.pred.key[1] is above
+        added.append(id(link) not in known and link in self._gap_recs)
+        return below, above
+
+    monkeypatch.setattr(Hierarchy, "_climb", recorded)
     h = Hierarchy(floor_level=4)
     assert h.classify(F(7, 17)) is Classification.LIMIT
     slots = {slot for slot in vars(h) if slot.startswith("_memo_")}
-    assert not slots & {"_memo_Hierarchy.bracket", "_memo_Hierarchy.next_below"}, slots
-    assert 0 < len(climbs) <= len(vars(h)["_memo_Hierarchy._straddle"])
+    memos = {"_memo_Hierarchy._straddle", "_memo_Hierarchy.bracket", "_memo_Hierarchy.next_below"}
+    assert not slots & memos, slots
+    assert added and all(added), added
+
+
+def test_a_known_gap_answers_without_a_walk(monkeypatch):
+    # after a cold classify(7/17), every proved link b -> a below 1/2
+    # answers _around strictly inside (b, a) and at a itself, with no
+    # budget table built and no climb; at b it is not the answer
+    h = Hierarchy(floor_level=4)
+    h.classify(F(7, 17))
+    links = [(r.key[1], r.pred.key[1]) for r in h._gap_recs if r.key[1] < F(1, 2)]
+    tables = len(vars(h)["_memo__budget_table"])
+    climbs = []
+    monkeypatch.setattr(Hierarchy, "_climb", lambda self, rec, pk: climbs.append(pk))
+    for b, a in links:
+        mid = (b + a) / 2
+        for p in (mid, a):
+            assert h._around(p.numerator, p.denominator) == (b, a), p
+        assert h._around(3 * mid.numerator, 3 * mid.denominator) == (b, a), mid
+    assert len(vars(h)["_memo__budget_table"]) == tables and climbs == []
+    monkeypatch.undo()
+    assert all(h._around(b.numerator, b.denominator) != (b, a) for b, a in links)
+    assert len(links) == 45
+
+
+def test_answers_do_not_depend_on_query_order():
+    # the gap index holds the links earlier queries proved, so a fresh
+    # Hierarchy must answer alike whatever order the points come in
+    points = sorted(
+        {F(n, d) for d in range(2, 61) for n in range(1, d) if F(41, 100) <= F(n, d) < F(1, 2)})
+    shuffled = points[:]
+    random.Random(20261022).shuffle(shuffled)
+
+    def answers(order):
+        h, out = Hierarchy(floor_level=4), {}
+        for p in order:
+            c = h.classify(p)
+            out[p] = (
+                c,
+                h.bracket(p),
+                h.predecessor(p) if c is Classification.SUCCESSOR else None,
+                h.next_below(p) if c is not Classification.NOT_MEMBER else None,
+            )
+        return out
+
+    ascending = answers(points)
+    assert len(points) == 99
+    assert answers(points[::-1]) == ascending
+    assert answers(shuffled) == ascending
 
 
 def test_a_climb_from_at_or_above_its_point_is_a_bug(hier):

@@ -271,13 +271,13 @@ def test_one_walk_per_interval(monkeypatch):
     h = Hierarchy(floor_level=4)
     h.classify(F(7, 17))
     tables = {id(table): table for table, _, _ in walks}
-    assert len(walks) == sum(len(t.entries) for t in tables.values()) == 707
+    assert len(walks) == sum(len(t.entries) for t in tables.values()) == 541
     for table, dn, dd in walks:
         assert table.lookup(dn, dd) is not None
 
 
 def test_cold_classify_makes_a_bounded_number_of_walk_visits(monkeypatch):
-    # a deterministic work bound: cold classify(41/100) makes 7,040 walk
+    # a deterministic work bound: cold classify(41/100) makes 6,475 walk
     # visits; it made 57,019 when bracket and next_below climbed from the
     # bottom of the level, through the tables of every member on the way
     _, tables = cold_tables(monkeypatch, F(41, 100))
@@ -395,7 +395,7 @@ def test_budget_table_entries_hold_exact_keys(monkeypatch):
     # interned sort keys, distinct and in canonical order
     h, tables = cold_tables(monkeypatch, F(7, 17))
     entries = [entry for table in tables for entry in table.entries]
-    assert len(entries) == 707
+    assert len(entries) == 541
     for entry in entries:
         keyed = _keyed(entry)
         for K in keyed:
@@ -407,7 +407,7 @@ def test_budget_table_entries_hold_exact_keys(monkeypatch):
         assert all(a < b for a, b in zip(canonical, canonical[1:])), keyed
 
 
-@pytest.mark.parametrize("x, count", [(F(7, 17), 707), (F(12, 25), 3)], ids=str)
+@pytest.mark.parametrize("x, count", [(F(7, 17), 541), (F(12, 25), 3)], ids=str)
 def test_entries_carry_their_tuples_at_lo(monkeypatch, x, count):
     # every entry a cold classify fills expands its at-lo visits to exactly
     # its stored tuples whose contribution total is lo, in its order; at
@@ -424,7 +424,7 @@ def test_entries_carry_their_tuples_at_lo(monkeypatch, x, count):
     assert generators and _tuples_at_lo(xx, {}) == generators
 
 
-@pytest.mark.parametrize("x, count", [(F(7, 17), 707), (F(12, 25), 3)], ids=str)
+@pytest.mark.parametrize("x, count", [(F(7, 17), 541), (F(12, 25), 3)], ids=str)
 def test_entries_carry_their_best_reciprocal_sums(monkeypatch, x, count):
     # every entry a cold classify fills keeps, for each length k, the
     # largest reciprocal sum of the k smallest components of a tuple of at
@@ -452,6 +452,19 @@ def test_entries_carry_their_best_reciprocal_sums(monkeypatch, x, count):
     assert _budget_table(h, x).empty[6:] == [(), (), 1]
 
 
+def test_cold_classify_builds_no_threshold_table():
+    # a threshold the walk asks about that lies in a proved member gap is
+    # answered from the gap, so a cold classify(7/17) builds budget tables
+    # for classified members alone, and none for a threshold
+    h = Hierarchy(floor_level=4)
+    h.classify(F(7, 17))
+    tables = vars(h)["_memo__budget_table"].values()
+    for table in tables:
+        rec = h._members.get((table.x.numerator, table.x.denominator))
+        assert rec is not None and rec.cls not in (None, Classification.NOT_MEMBER), table.x
+    assert len(tables) == 47
+
+
 def test_cold_classify_builds_only_the_tuples_limit_jumps_read(monkeypatch):
     # the walk keeps visits, not tuples: a cold classify(7/17) builds the
     # keyed tuples of the entries whose tuples a limit jump prices, and of
@@ -466,7 +479,7 @@ def test_cold_classify_builds_only_the_tuples_limit_jumps_read(monkeypatch):
     monkeypatch.setattr(minimal_sets, "_next_total", recorded)
     _, tables = cold_tables(monkeypatch, F(7, 17))
     entries = [entry for table in tables for entry in table.entries]
-    assert len(entries) == 707
+    assert len(entries) == 541
     built = [entry for entry in entries if entry[7] is not None]
     read = {id(keyed) for keyed in jumped}
     reached, stack = {}, [entry for entry in built if id(entry[7]) in read]
@@ -476,7 +489,7 @@ def test_cold_classify_builds_only_the_tuples_limit_jumps_read(monkeypatch):
             reached[id(entry)] = entry
             stack.extend(inner for inner in entry[4][1::2] if inner[4])
     assert {id(entry) for entry in built} == set(reached)
-    # of the 707 entries and their 7,711 tuples
+    # of the 541 entries and their 7,185 tuples
     assert (len(built), sum(len(entry[7]) for entry in built)) == (64, 97)
 
 
@@ -496,7 +509,7 @@ def test_cold_classify_folds_only_the_best_sums_the_search_reads(monkeypatch):
     monkeypatch.setattr(minimal_sets, "_best_below_lo", recorded)
     _, tables = cold_tables(monkeypatch, F(7, 17))
     entries = [entry for table in tables for entry in table.entries]
-    assert len(entries) == 707
+    assert len(entries) == 541
     stack = [inner for entry in searched for inner in entry[4][1::2]]
     reached = set()
     while stack:
