@@ -22,22 +22,21 @@ where it sits (_segment) and its own minimal-set entry, through
 predecessors and limit sequences. Being an ascending chain, the climb
 ends, at a link the index keeps.
 
-All queries live on a Hierarchy object, which memoizes segments, limit
-sequences and brackets per instance and indexes its predecessor links.
-It also owns the minimal-set tables, one per x over the governing floor
-of x, each set stored once for the whole interval of budgets that yields
-it. A memoized limit sequence keeps every term it has computed.
-
-Its intern table, keyed on (numerator, denominator), holds one record
-per value: its sort key (float, value), built once, and, once worked
-out, its classification and its predecessor's record, where classify
-and predecessor memoize. Equal members handed out are one object, and
-the walk steps from a successor to its predecessor by one link. The
-tables build their tuples, when read, from these keys, which compare
-floats first and settle equal members on identity. Two hierarchies
-share no table. The floor level L is an int in [1, MAX_FLOOR_LEVEL], and
-queries below 1/(L+1) raise FloorError instead of recursing without
-bound.
+All queries live on a Hierarchy object, which indexes its predecessor
+links. Its intern table, keyed on (numerator, denominator), holds one
+record per value, its only per-value cache: the value's sort key
+(float, value), built once, and, each worked out on first read, its
+classification, its predecessor's record, its segment, its limit
+sequence, which keeps every term it has computed, and its minimal-set
+table over the governing floor of the value, each set stored once for
+the whole interval of budgets that yields it. bracket keeps nothing of
+its own: a repeated bracket is answered from the record, a closed form
+or the gap index. Equal members handed out are one object, and the walk
+steps from a successor to its predecessor by one link. The tables build
+their tuples, when read, from the keys, which compare floats first and
+settle equal members on identity. Two hierarchies share no record. The
+floor level L is an int in [1, MAX_FLOOR_LEVEL], and queries below
+1/(L+1) raise FloorError instead of recursing without bound.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from operator import attrgetter
 
 from . import minimal_sets
 from .errors import ConsistencyError, DomainError, FloorError, InputError
-from .memo import memoized
 from .rationals import ExactRational, HALF, ONE, ZERO, ascending_key, require_exact
 from .minimal_sets import Classification
 from .rules import apply_rule, h_inverse, h_map, is_valid_application
@@ -109,12 +107,18 @@ class LimitSequence:
 
 
 class _Record:
-    """A value's sort key, then its classification and predecessor's record."""
+    """A value's sort key, then what is worked out about it on first read,
+    None until then: its classification, its predecessor's record, its
+    segment (False at an image of a member, which bounds segments), its
+    limit sequence, its budget table (minimal_sets._budget_table), and
+    term, True once bracket finds the value a term of the limit sequence
+    of its segment's bottom, a member whose class it does not work out."""
 
-    __slots__ = ("key", "cls", "pred")
+    __slots__ = ("key", "cls", "pred", "seg", "seq", "table", "term")
 
     def __init__(self, key):
-        self.key, self.cls, self.pred = key, None, None
+        self.key = key
+        self.cls = self.pred = self.seg = self.seq = self.table = self.term = None
 
 
 class Hierarchy:
@@ -151,7 +155,7 @@ class Hierarchy:
     # ---- guards ----
 
     def _check(self, x: ExactRational):
-        # integer comparisons: runs ahead of every memo lookup
+        # integer comparisons: runs ahead of every record lookup
         if not isinstance(x, ExactRational):
             raise InputError(f"expected an exact rational, got {type(x).__name__}")
         n, den = x._numerator, x._denominator
@@ -214,10 +218,16 @@ class Hierarchy:
             raise DomainError(f"{x} is the image of a member; it bounds segments")
         return seg
 
-    @memoized
     def _segment(self, x: ExactRational):
         """Where x in (0, 1/2] sits: None at the image of a member, else
-        the segment holding x, whose r_lo is x at a chain point."""
+        the segment holding x, whose r_lo is x at a chain point; worked
+        out on first read and kept on x's record, past the guard."""
+        rec = self._record(x)
+        if rec.seg is None:
+            rec.seg = self._locate(x) or False
+        return rec.seg or None
+
+    def _locate(self, x: ExactRational):
         t = h_inverse(x)
         if self.classify(t) is not Classification.NOT_MEMBER:
             return None
@@ -377,8 +387,15 @@ class Hierarchy:
 
     # ---- limit sequences ----
 
-    @memoized
     def limit_sequence(self, x: ExactRational) -> LimitSequence:
+        """x's limit sequence, built on first read and kept on x's record."""
+        self._check(x)
+        rec = self._record(x)
+        if rec.seq is None:
+            rec.seq = self._build_sequence(x)
+        return rec.seq
+
+    def _build_sequence(self, x: ExactRational) -> LimitSequence:
         if self.classify(x) is not Classification.LIMIT:
             raise DomainError(f"limit sequences exist for limit elements only, got {x}")
         if x == HALF:
@@ -431,13 +448,15 @@ class Hierarchy:
 
     # ---- bracketing and neighbors ----
 
-    @memoized
     def bracket(self, p: ExactRational):
         """Largest member <= p and smallest member >= p.
 
         Above 1/2, and at every 1/k, they are closed forms. A member
-        already classified, an image of a member and a chain point are
-        their own bracket. Any other p below 1/2 lies inside a segment
+        already classified is its own bracket. A p in a proved gap
+        (b, pred(b)] is answered from the gap index (_in_gap): p, twice,
+        at its top pred(b), else the gap, as no member lies strictly
+        inside it. An image of a member and a chain point are their own
+        bracket. Any other p below 1/2 lies inside a segment
         [r_lo, r_hi), and r_lo is a limit. Its limit sequence descends to
         it, so it has a first term at or below p. If that term is p, p is
         its own bracket, and p's minimal set is never walked. At floor 4,
@@ -446,7 +465,15 @@ class Hierarchy:
         not ended after a minute. Otherwise the bracket is read off
         _straddle(p), the last member below p and the least member at or
         above it: p, twice, when that member is p.
+
+        Nothing is kept beside the records, and a repeated bracket never
+        climbs or scans a limit sequence. Every climb ends at a link that
+        _lowered indexes, so a non-member, and a member found by _straddle,
+        is answered from the gap index; an image of a member and a chain
+        point from the segment on their record; a limit term from the
+        record's term flag.
         """
+        self._check(p)
         pn, pd = p._numerator, p._denominator
         if pn == 1 or pd == 2 * pn - 1:
             # members in closed form: every 1/k (1, 1/2, and the images of
@@ -459,10 +486,14 @@ class Hierarchy:
         p = rec.key[1]
         if rec.cls is not None and rec.cls is not Classification.NOT_MEMBER:
             return p, p  # classified already
+        gap = self._in_gap(pn, pd)
+        if gap:
+            return (p, p) if gap[1] is p else gap
         seg = self._segment(p)
         if seg is None or p == seg.r_lo:
             return p, p  # an image of a member, or a chain point
-        if self._first_term(seg.r_lo, rec.key.__ge__) is rec:
+        if rec.term or self._first_term(seg.r_lo, rec.key.__ge__) is rec:
+            rec.term = True
             return p, p  # a term of r_lo's limit sequence
         below, above = self._straddle(p)
         return (p, p) if above == p else (below, above)

@@ -1,4 +1,9 @@
-"""Per-instance memoization for the kernel's one-argument query procedures."""
+"""Per-instance memoization for the team procedures.
+
+Its callers are teams.make_context, teams.team_size and
+teams._allocation_team_size. The hierarchy kernel keeps what it works
+out about a value on the value's record instead (Hierarchy._record).
+"""
 
 from functools import wraps
 

@@ -16,12 +16,12 @@ recurses on the remaining budget; at a limit component it asks
 find_smallest for the least total above the inner budget among one-step
 changes of the inner set's tuples, and jumps past it.
 
-Functions take the hierarchy handle explicitly; it must provide _around
-(the members on either side of a threshold), next_below,
-governing_floor, its interned members (_member) and the member records
-(_record, _classified, _lowered) through which the walk steps
-unguarded. Each handle keeps one budget table per x: the floor and
-(p0', delta) that every budget of that x shares, and each set found,
+Functions take the hierarchy handle explicitly; it must provide its
+guard (_check), _around (the members on either side of a threshold),
+next_below, governing_floor, its interned members (_member) and the
+member records (_record, _classified, _lowered) through which the walk
+steps unguarded. The record of each x keeps one budget table: the floor
+and (p0', delta) that every budget of that x shares, and each set found,
 stored once for the whole interval [lo, hi) of budgets that yields it
 (see _build_set).
 
@@ -75,7 +75,6 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import ConsistencyError, InputError
-from .memo import memoized
 from .rationals import ExactRational, ONE
 from .rules import contribution
 
@@ -251,23 +250,26 @@ class _BudgetTable:
         self.lows.insert(i + 1, lo_n / lo_d)
 
 
-@memoized
 def _budget_table(hier, x: ExactRational) -> _BudgetTable:
     """The table of x over [floor, 1], floor its governing floor, with
     (p0', delta): the largest member of [floor, 1] with strictly positive
-    contribution, and that contribution, the least any component adds."""
-    floor = hier.governing_floor(x)
-    xn, xd = x.numerator, x.denominator
-    if 2 * xn > xd:  # x == 1 or x/(1-x) > 1
-        p0p = ONE
-    else:
-        p0p, _ = hier._around(xn, xd - xn)  # the last member below x/(1-x)
-        if p0p < floor:
-            raise ConsistencyError(f"no positive contribution above floor {floor} for x={x}")
-    delta = contribution(x, p0p)
-    if delta <= 0:
-        raise ConsistencyError(f"delta must be positive, got {delta}")
-    return _BudgetTable(x, floor, p0p, delta)
+    contribution, and that contribution, the least any component adds.
+    Built on first read and kept on x's record, past the caller's guard."""
+    rec = hier._record(x)
+    if rec.table is None:
+        floor = hier.governing_floor(x)
+        xn, xd = x.numerator, x.denominator
+        if 2 * xn > xd:  # x == 1 or x/(1-x) > 1
+            p0p = ONE
+        else:
+            p0p, _ = hier._around(xn, xd - xn)  # the last member below x/(1-x)
+            if p0p < floor:
+                raise ConsistencyError(f"no positive contribution above floor {floor} for x={x}")
+        delta = contribution(x, p0p)
+        if delta <= 0:
+            raise ConsistencyError(f"delta must be positive, got {delta}")
+        rec.table = _BudgetTable(x, floor, p0p, delta)
+    return rec.table
 
 
 def _smallest_with_contribution_at_most(hier, table: _BudgetTable, bn: int, bd: int):
@@ -307,6 +309,7 @@ def find_smallest(hier, P: MinimalSet):
     d = 1/12, P holds the one tuple (2/3, 2/3), and this returns 1/8,
     while the singleton (3/5) reaches 1/9.
     """
+    hier._check(P.x)
     table = _budget_table(hier, P.x)
     keyed = tuple(tuple(hier._record(p).key for p in T) for T in P.tuples)
     t = _next_total(hier, table, keyed, P.d.numerator, P.d.denominator)

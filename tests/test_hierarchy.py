@@ -81,7 +81,7 @@ def test_guards(hier):
     for level in (0, hierarchy.MAX_FLOOR_LEVEL + 1, 2000, 2.5, "4", True, None):
         with pytest.raises(InputError):
             Hierarchy(floor_level=level)
-    # the guard runs before the memo lookup: 0.5 and True hash and compare
+    # the guard runs before the record lookup: 0.5 and True hash and compare
     # equal to 1/2 and 1, which are warm here, but must still be refused
     for warm in (F(1, 2), F(1)):
         hier.classify(warm)
@@ -94,6 +94,18 @@ def test_guards(hier):
         for odd in (0.5, True):
             with pytest.raises(InputError):
                 query(odd)
+    with pytest.raises(InputError):
+        hier.decide_equivalence(0.5, F(1, 2))
+    # find_smallest guards the x of the set it is handed, whose table is
+    # warm at 1/2 and 1
+    warm = hier.xd_minimal(F(1, 2), F(1, 4))
+    hier.xd_minimal(F(1), F(1, 2))
+    for x, error in ((0.5, InputError), (True, InputError), (F(1, 7), FloorError),
+                     (F(3, 2), InputError)):
+        odd = minimal_sets.MinimalSet(x, warm.d, warm.floor, warm.delta, warm.p0_prime,
+                                      warm.tuples, warm.lo, warm.hi)
+        with pytest.raises(error):
+            minimal_sets.find_smallest(hier, odd)
 
 
 def test_deeper_floor_admits_more():
@@ -498,9 +510,9 @@ def test_bracket_of_a_limit_term_walks_no_set_of_its_own(monkeypatch):
 
 def test_one_climb_answers_each_point_below_half(monkeypatch):
     # the members around a point below 1/2 come from the gap index or from
-    # one climb: a cold classify(7/17) leaves no _straddle, bracket or
-    # next_below memo, and each climb adds its answer to the index as a
-    # link, so no later point in that gap climbs
+    # one climb: a cold classify(7/17) leaves no memo beside the records,
+    # and each climb adds its answer to the index as a link, so no later
+    # point in that gap climbs
     added, climb = [], Hierarchy._climb
 
     def recorded(self, rec, pk):
@@ -514,10 +526,50 @@ def test_one_climb_answers_each_point_below_half(monkeypatch):
     monkeypatch.setattr(Hierarchy, "_climb", recorded)
     h = Hierarchy(floor_level=4)
     assert h.classify(F(7, 17)) is Classification.LIMIT
-    slots = {slot for slot in vars(h) if slot.startswith("_memo_")}
-    memos = {"_memo_Hierarchy._straddle", "_memo_Hierarchy.bracket", "_memo_Hierarchy.next_below"}
-    assert not slots & memos, slots
+    assert [slot for slot in vars(h) if slot.startswith("_memo_")] == []
     assert added and all(added), added
+
+
+def test_the_records_are_the_only_cache():
+    # every kernel query keeps what it works out on the value's record or
+    # in the gap index, and adds no attribute to the Hierarchy
+    h = Hierarchy(floor_level=4)
+    h.classify(F(7, 17))
+    for p in (F(2, 5), F(3, 7), F(13, 30), F(5, 12), F(7, 10)):
+        h.bracket(p)
+    h.predecessor(F(12, 25))
+    h.next_below(F(4, 9))
+    h.limit_sequence(F(4, 9)).take(3)
+    h.segment_of(F(13, 30))
+    h.governing_floor(F(13, 30))
+    h.xd_minimal(F(5, 12), F(1, 12))
+    h.enumerate_interval(F(7, 17), F(1, 2), 5)
+    h.decide_equivalence(F(13, 30), F(3, 7))
+    assert set(vars(h)) == {"floor_level", "_members", "_gap_lows", "_gap_recs"}
+
+
+def test_a_repeated_bracket_does_no_work(monkeypatch):
+    # a second bracket of each point of [7/17, 1/2) with denominator <= 40
+    # is answered from the records, the closed forms and the gap index:
+    # it climbs no member, walks no set and scans no limit sequence
+    points = sorted(
+        {F(n, d) for d in range(2, 41) for n in range(1, d) if F(7, 17) <= F(n, d) < F(1, 2)})
+    h = Hierarchy(floor_level=4)
+    first = [h.bracket(p) for p in points]
+
+    def forbidden(*args):
+        raise AssertionError("a repeated bracket worked")
+
+    monkeypatch.setattr(Hierarchy, "_climb", forbidden)
+    monkeypatch.setattr(Hierarchy, "_first_term", forbidden)
+    monkeypatch.setattr(minimal_sets, "_walk", forbidden)
+    assert [h.bracket(p) for p in points] == first
+    assert len(points) == 43
+
+
+def budget_tables(h):
+    """How many budget tables h's records hold."""
+    return sum(rec.table is not None for rec in h._members.values())
 
 
 def test_a_known_gap_answers_without_a_walk(monkeypatch):
@@ -527,7 +579,7 @@ def test_a_known_gap_answers_without_a_walk(monkeypatch):
     h = Hierarchy(floor_level=4)
     h.classify(F(7, 17))
     links = [(r.key[1], r.pred.key[1]) for r in h._gap_recs if r.key[1] < F(1, 2)]
-    tables = len(vars(h)["_memo__budget_table"])
+    tables = budget_tables(h)
     climbs = []
     monkeypatch.setattr(Hierarchy, "_climb", lambda self, rec, pk: climbs.append(pk))
     for b, a in links:
@@ -535,7 +587,7 @@ def test_a_known_gap_answers_without_a_walk(monkeypatch):
         for p in (mid, a):
             assert h._around(p.numerator, p.denominator) == (b, a), p
         assert h._around(3 * mid.numerator, 3 * mid.denominator) == (b, a), mid
-    assert len(vars(h)["_memo__budget_table"]) == tables and climbs == []
+    assert budget_tables(h) == tables and climbs == []
     monkeypatch.undo()
     assert all(h._around(b.numerator, b.denominator) != (b, a) for b, a in links)
     assert len(links) == 45
@@ -578,7 +630,7 @@ def test_a_climb_from_at_or_above_its_point_is_a_bug(hier):
 def test_around_above_half_is_the_ladder():
     # every n/d in (1/2, 1] with d <= 120, reduced and as (3n, 3d): the last
     # member below and the least member at or above, in closed form, equal
-    # to bracket and next_below and to the ladder, with no memo entry
+    # to bracket and next_below and to the ladder, with no memo anywhere
     ladder = base_members(200)
     fresh, ref = Hierarchy(floor_level=4), Hierarchy(floor_level=4)
     points = sorted({F(n, d) for d in range(1, 121) for n in range(d // 2 + 1, d + 1)})
@@ -592,7 +644,7 @@ def test_around_above_half_is_the_ladder():
         again = fresh._around(3 * n, 3 * d)
         assert again[0] is got[0] and again[1] is got[1], t
     assert len(points) == 2_193
-    assert [slot for slot in vars(fresh) if slot.startswith("_memo_")] == []
+    assert [slot for h in (fresh, ref) for slot in vars(h) if slot.startswith("_memo_")] == []
 
 
 @pytest.mark.parametrize("level", [2, 4])

@@ -458,7 +458,7 @@ def test_cold_classify_builds_no_threshold_table():
     # for classified members alone, and none for a threshold
     h = Hierarchy(floor_level=4)
     h.classify(F(7, 17))
-    tables = vars(h)["_memo__budget_table"].values()
+    tables = [rec.table for rec in h._members.values() if rec.table is not None]
     for table in tables:
         rec = h._members.get((table.x.numerator, table.x.denominator))
         assert rec is not None and rec.cls not in (None, Classification.NOT_MEMBER), table.x
