@@ -24,19 +24,21 @@ ends, at a link the index keeps.
 
 All queries live on a Hierarchy object, which indexes its predecessor
 links. Its intern table, keyed on (numerator, denominator), holds one
-record per value, its only per-value cache: the value's sort key
-(float, value), built once, and, each worked out on first read, its
+record per value, its only per-value cache: the value's sort key (float,
+value), built once, and, each worked out on first read, its
 classification, its predecessor's record, its segment, its limit
-sequence, which keeps every term it has computed, and its minimal-set
-table over the governing floor of the value, each set stored once for
-the whole interval of budgets that yields it. bracket keeps nothing of
-its own: a repeated bracket is answered from the record, a closed form
-or the gap index. Equal members handed out are one object, and the walk
-steps from a successor to its predecessor by one link. The tables build
-their tuples, when read, from the keys, which compare floats first and
-settle equal members on identity. Two hierarchies share no record. The
-floor level L is an int in [1, MAX_FLOOR_LEVEL], and queries below
-1/(L+1) raise FloorError instead of recursing without bound.
+sequence, which keeps every term it has computed, its minimal-set table
+over the governing floor of the value, each set stored once for the
+whole interval of budgets that yields it, and its team context, which
+the teams module keeps there and this module never reads. bracket keeps
+nothing of its own: a repeated bracket is answered from the record, a
+closed form or the gap index. Equal members handed out are one object,
+and the walk steps from a successor to its predecessor by one link. The
+tables build their tuples, when read, from the keys, which compare
+floats first and settle equal members on identity. Two hierarchies share
+no record. The floor level L is an int in [1, MAX_FLOOR_LEVEL], and
+queries below 1/(L+1) raise FloorError instead of recursing without
+bound.
 """
 
 from __future__ import annotations
@@ -110,15 +112,17 @@ class _Record:
     """A value's sort key, then what is worked out about it on first read,
     None until then: its classification, its predecessor's record, its
     segment (False at an image of a member, which bounds segments), its
-    limit sequence, its budget table (minimal_sets._budget_table), and
-    term, True once bracket finds the value a term of the limit sequence
-    of its segment's bottom, a member whose class it does not work out."""
+    limit sequence, its budget table (minimal_sets._budget_table), term,
+    True once bracket finds the value a term of the limit sequence of its
+    segment's bottom, a member whose class it does not work out, and its
+    team context (teams.make_context), which this module never reads."""
 
-    __slots__ = ("key", "cls", "pred", "seg", "seq", "table", "term")
+    __slots__ = ("key", "cls", "pred", "seg", "seq", "table", "term", "context")
 
     def __init__(self, key):
         self.key = key
         self.cls = self.pred = self.seg = self.seq = self.table = self.term = None
+        self.context = None
 
 
 class Hierarchy:
@@ -504,8 +508,8 @@ class Hierarchy:
 
         Above 1/2 the members are m/(2m - 1): the least at or above n/d
         has m = floor(n/(2n - d)), and (m + 1)/(2m + 1) lies below it
-        whether or not n/d is a member, so no Fraction is built and no
-        memo entry made. At or below 1/2 the pair is _straddle's.
+        whether or not n/d is a member, so n/d itself needs no Fraction
+        and no record. At or below 1/2 the pair is _straddle's.
         """
         if 2 * n > d:
             m = n // (2 * n - d)

@@ -7,7 +7,7 @@ first, and values whose floats tie are compared exactly. Integer true
 division rounds correctly, so a < b implies float(a) <= float(b), and a
 float comparison never reverses an exact one. The scalar type is the stdlib Fraction, re-exported under a
 kernel-local alias so call sites stay uniform. It is not a seam for
-another representation: the guards, the memo keys, the minimal-set walk
+another representation: the guards, the record keys, the minimal-set walk
 and the predecessor search read Fraction's _numerator and _denominator
 slots directly.
 """
@@ -46,7 +46,7 @@ def require_exact(value) -> ExactRational:
 
     Floats and bools compare equal to rationals (0.5 == 1/2, True == 1),
     so only a type check keeps them out of exact arithmetic. Hierarchy's
-    guard makes the same check inline, ahead of every memo lookup.
+    guard makes the same check inline, ahead of every record lookup.
     """
     if not isinstance(value, ExactRational):
         raise InputError(f"expected an exact rational, got {type(value).__name__}")

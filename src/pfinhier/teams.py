@@ -13,6 +13,11 @@ Above 1/2 a context is a closed form: its pool is the ladder of base
 members from p0 up to 1, and no minimal set is walked (see make_context).
 Team sizes price a context's rows from integers; its funding list is
 built when g_prime first reads it.
+
+A context is kept on the hierarchy record of its x, so it lives as long
+as the Hierarchy, and is built once. What is worked out from it (funding
+list, team sizes, g_prime's memo) is kept on the context, each on first
+read.
 """
 
 from bisect import bisect_right
@@ -22,7 +27,6 @@ from math import gcd, lcm
 
 from .errors import ConsistencyError, DomainError, InputError
 from .hierarchy import Classification, Hierarchy
-from .memo import memoized
 from .minimal_sets import component_pool
 from .rationals import ExactRational, HALF, ONE, ZERO, require_exact
 from .rules import contribution
@@ -48,9 +52,10 @@ class SimulationContext:
     row); p0_upper_pred is its predecessor, None above 1/2 where
     p0_upper is the maximal element.  funding lists (cost, value, row)
     triples: spending cost on a child buys value toward its success
-    count and lands the child on the given row of P_prime.  It is built
-    on first read from the other fields, so the constructor does not take
-    it and == and repr omit it.
+    count and lands the child on the given row of P_prime.  It, the team
+    sizes and g_prime's memo are built on first read from the other
+    fields, so the constructor does not take them and == and repr omit
+    them.
     """
 
     x: ExactRational
@@ -59,7 +64,6 @@ class SimulationContext:
     p0_upper_pred: ExactRational | None
     P_prime: tuple[ExactRational, ...]
     hier: Hierarchy = field(compare=False, repr=False)
-    _gp_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def base(self) -> bool:
@@ -74,6 +78,21 @@ class SimulationContext:
         """funding by value per cost, best first: the order that g_prime's
         (i, budget) memo keys index."""
         return sorted(self.funding, key=lambda it: it[1] / it[0], reverse=True)
+
+    @cached_property
+    def _gp_memo(self) -> dict:
+        return {}
+
+    @cached_property
+    def _team_size(self) -> int:
+        """team_size at x, a member below 1/2."""
+        return _closure_size(self, 1, lambda q: team_size(self.hier, q))
+
+    @cached_property
+    def _allocation_team_size(self) -> int:
+        """_allocation_team_size at x; 1 at x = 1, whose one row is x."""
+        return _closure_size(
+            self, self.p0.denominator, lambda q: make_context(self.hier, q)._allocation_team_size)
 
 
 def _funding_items(hier, x, p0, P_prime, p0_upper_pred):
@@ -98,10 +117,9 @@ def _funding_items(hier, x, p0, P_prime, p0_upper_pred):
     return tuple(items)
 
 
-@memoized
 def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
-    """Assemble the simulation context for success level x (its funding
-    list is built on first read).
+    """The simulation context for success level x, built on first read
+    and kept on x's record (its funding list is built on first read).
 
     x need not be a hierarchy member; p0 rounds it up to one. P_prime is
     the pool of the (x, x)-minimal set P and p0_upper its p0'. Above 1/2
@@ -122,7 +140,14 @@ def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
       set at any budget b holds (1, ..., 1) with floor(b/(2x - 1)) 1s
       (the empty tuple when there are none): (q, 1, ..., 1) is a tuple
       of P for each member q >= p0.
+
+    The guard runs before the record is read: 0.5 and True, which equal
+    1/2 and 1, must never be answered from a warm record.
     """
+    hier._check(x)
+    rec = hier._record(x)
+    if rec.context is not None:
+        return rec.context
     _, p0 = hier.bracket(x)
     if p0 > HALF:
         n = p0.numerator
@@ -146,7 +171,7 @@ def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
                 f"reserve success bound fails for x={x}: "
                 f"{p0_upper_pred} * (1 - {p0}) < {p0}"
             )
-    return SimulationContext(
+    rec.context = SimulationContext(
         x=x,
         p0=p0,
         p0_upper=p0_upper,
@@ -154,6 +179,7 @@ def make_context(hier: Hierarchy, x: ExactRational) -> SimulationContext:
         P_prime=P_prime,
         hier=hier,
     )
+    return rec.context
 
 
 def _g_row(ctx: SimulationContext, r: ExactRational):
@@ -193,7 +219,7 @@ def g_prime(ctx: SimulationContext, r: ExactRational) -> ExactRational:
     splitting r into parts and running g on each part can do no better
     than buying, for each part, the row it lands on at that row's entry
     cost.  Conversely every multiset of items is realized by an actual
-    split.  Solved by memoized branch and bound; exact, no rounding.
+    split.  Solved by branch and bound over a memo; exact, no rounding.
     """
     _check_mass(ctx, r)
     if r == 0:
@@ -240,7 +266,7 @@ def _closure_size(ctx: SimulationContext, k: int, size) -> int:
 
     size(q) is the team size the recursion demands at row q. Rows are
     asked from the largest down, so the recursion at each row finds the
-    rows above it already memoized instead of nesting under them.
+    rows above it already sized instead of nesting under them.
 
     The result K also makes every row value times K an integer:
 
@@ -266,29 +292,28 @@ def _closure_size(ctx: SimulationContext, k: int, size) -> int:
     return k
 
 
-@memoized
 def team_size(hier: Hierarchy, p: ExactRational) -> int:
-    """Size of the smallest uniformly sufficient team for member p."""
+    """Size of the smallest uniformly sufficient team for member p.
+
+    Below 1/2 it is kept on p's context; at or above it is a closed form,
+    and no context is built."""
     if hier.classify(p) is Classification.NOT_MEMBER:
         raise DomainError(f"team size is defined for hierarchy members only: {p}")
     if p >= HALF:
         # n/(2n-1) needs 2n-1 members; covers 1 -> 1 and 1/2 -> 2.
         return p.denominator
-    return _closure_size(make_context(hier, p), 1, lambda q: team_size(hier, q))
+    return make_context(hier, p)._team_size
 
 
-@memoized
 def _allocation_team_size(hier: Hierarchy, x: ExactRational) -> int:
-    """Team size the allocator actually uses at success level x.
+    """Team size the allocator actually uses at success level x, kept on
+    x's context.
 
     Differs from team_size at the base constants: the allocator funds
     sub-teams through the g machinery even above 1/2, so its k must
     absorb every funding denominator and sub-team modulus there too.
     """
-    if x == ONE:
-        return 1
-    ctx = make_context(hier, x)
-    return _closure_size(ctx, ctx.p0.denominator, lambda q: _allocation_team_size(hier, q))
+    return make_context(hier, x)._allocation_team_size
 
 
 # ---- the allocator ----

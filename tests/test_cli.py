@@ -85,8 +85,7 @@ def test_exit_codes(capsys, tmp_path):
 
 
 # modules a verb loads only if it runs them
-WATCHED = ("pfinhier.teams", "pfinhier.memo", "pfinhier.trees", "pfinhier.ordinals",
-           "dataclasses", "json")
+WATCHED = ("pfinhier.teams", "pfinhier.trees", "pfinhier.ordinals", "dataclasses", "json")
 
 
 def modules_loaded_by(*argv):
@@ -107,7 +106,7 @@ def modules_loaded_by(*argv):
 
 
 def test_each_verb_imports_only_what_it_runs():
-    # the kernel keeps its caches on its records: memo is the team layer's
+    # a kernel verb loads no team, tree or ordinal code
     assert modules_loaded_by("classify", "1/2") == set()
     assert modules_loaded_by("--json", "classify", "1/2") == {"json"}
     # ordinals itself needs dataclasses

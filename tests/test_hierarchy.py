@@ -1,8 +1,10 @@
 """Classification, neighbors, limit sequences, and the decision procedure."""
 
+import gc
 import json
 import random
 import sys
+import weakref
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction as F
@@ -18,10 +20,16 @@ from pfinhier import (
     FloorError,
     Hierarchy,
     InputError,
+    MachineTrace,
     apply_rule,
     contribution,
     h_inverse,
+    make_context,
     parse_rational,
+    parse_tree,
+    rational_labeling,
+    simulate_team,
+    team_size,
 )
 from pfinhier import hierarchy, minimal_sets
 from pfinhier.minimal_sets import _generators, _least_own, _stripped, _xx_entry
@@ -510,9 +518,9 @@ def test_bracket_of_a_limit_term_walks_no_set_of_its_own(monkeypatch):
 
 def test_one_climb_answers_each_point_below_half(monkeypatch):
     # the members around a point below 1/2 come from the gap index or from
-    # one climb: a cold classify(7/17) leaves no memo beside the records,
-    # and each climb adds its answer to the index as a link, so no later
-    # point in that gap climbs
+    # one climb: a cold classify(7/17) leaves nothing beside the records
+    # and the gap index, and each climb adds its answer to the index as a
+    # link, so no later point in that gap climbs
     added, climb = [], Hierarchy._climb
 
     def recorded(self, rec, pk):
@@ -526,13 +534,27 @@ def test_one_climb_answers_each_point_below_half(monkeypatch):
     monkeypatch.setattr(Hierarchy, "_climb", recorded)
     h = Hierarchy(floor_level=4)
     assert h.classify(F(7, 17)) is Classification.LIMIT
-    assert [slot for slot in vars(h) if slot.startswith("_memo_")] == []
+    assert set(vars(h)) == HIERARCHY_ATTRIBUTES
     assert added and all(added), added
 
 
+# what a Hierarchy holds after any queries: the records and the gap index
+HIERARCHY_ATTRIBUTES = {"floor_level", "_members", "_gap_lows", "_gap_recs"}
+
+
+def team_queries(h):
+    """Team contexts above and below 1/2, a team size and a simulation."""
+    make_context(h, F(2, 3))
+    make_context(h, F(12, 25))
+    team_size(h, F(8, 17))
+    tree = parse_tree("(" + "()" * 24 + ")")
+    lab = rational_labeling(tree)
+    simulate_team(make_context(h, lab.p), MachineTrace(tree=tree, labeling=lab))
+
+
 def test_the_records_are_the_only_cache():
-    # every kernel query keeps what it works out on the value's record or
-    # in the gap index, and adds no attribute to the Hierarchy
+    # every kernel and team query keeps what it works out on the value's
+    # record or in the gap index, and adds no attribute to the Hierarchy
     h = Hierarchy(floor_level=4)
     h.classify(F(7, 17))
     for p in (F(2, 5), F(3, 7), F(13, 30), F(5, 12), F(7, 10)):
@@ -545,7 +567,19 @@ def test_the_records_are_the_only_cache():
     h.xd_minimal(F(5, 12), F(1, 12))
     h.enumerate_interval(F(7, 17), F(1, 2), 5)
     h.decide_equivalence(F(13, 30), F(3, 7))
-    assert set(vars(h)) == {"floor_level", "_members", "_gap_lows", "_gap_recs"}
+    team_queries(h)
+    assert set(vars(h)) == HIERARCHY_ATTRIBUTES
+
+
+def test_a_dropped_hierarchy_is_freed():
+    # a context on a record refers back to its Hierarchy; nothing outside
+    # the Hierarchy holds that cycle, so it is freed once dropped
+    h = Hierarchy(floor_level=4)
+    team_queries(h)
+    dropped = weakref.ref(h)
+    del h
+    gc.collect()
+    assert dropped() is None
 
 
 def test_a_repeated_bracket_does_no_work(monkeypatch):
@@ -644,7 +678,7 @@ def test_around_above_half_is_the_ladder():
         again = fresh._around(3 * n, 3 * d)
         assert again[0] is got[0] and again[1] is got[1], t
     assert len(points) == 2_193
-    assert [slot for h in (fresh, ref) for slot in vars(h) if slot.startswith("_memo_")] == []
+    assert set(vars(fresh)) == set(vars(ref)) == HIERARCHY_ATTRIBUTES
 
 
 @pytest.mark.parametrize("level", [2, 4])

@@ -181,6 +181,53 @@ def test_team_caches_stay_per_hierarchy():
     assert make_context(deep, F(1, 2)).hier is deep
 
 
+def test_a_warm_record_still_refuses_inexact_input():
+    # 0.5 and True equal 1/2 and 1, whose records hold contexts: the
+    # guard runs before any record is read
+    h = Hierarchy(floor_level=4)
+    for x in (F(1, 2), F(1)):
+        make_context(h, x)
+        team_size(h, x)
+        _allocation_team_size(h, x)
+    for bad in (0.5, True):
+        for query in (make_context, team_size, _allocation_team_size):
+            with pytest.raises(InputError):
+                query(h, bad)
+
+
+def test_team_size_from_half_up_builds_no_context():
+    # a closed form: 1/2 would otherwise walk its (1/2, 1/2)-minimal set
+    h = Hierarchy(floor_level=4)
+    assert [team_size(h, p) for p in (F(1, 2), F(3, 5), F(1))] == [2, 5, 1]
+    assert all(rec.context is None for rec in h._members.values())
+
+
+def test_a_context_is_built_once():
+    h = Hierarchy(floor_level=4)
+    for x in (F(2, 3), F(1, 2), F(12, 25), F(9, 10)):
+        assert make_context(h, x) is make_context(h, F(x.numerator, x.denominator))
+
+
+def test_team_sizes_are_reused_across_calls(monkeypatch):
+    # the sizes stay on the contexts: a second team_size and a second
+    # simulate_team on the same Hierarchy size no row
+    sized, real = [], teams._closure_size
+    monkeypatch.setattr(teams, "_closure_size", lambda *args: sized.append(args) or real(*args))
+    h = Hierarchy(floor_level=4)
+    tree = parse_tree("(" + "()" * 24 + ")")
+    lab = rational_labeling(tree)
+    trace = MachineTrace(tree=tree, labeling=lab)
+
+    def queries():
+        return team_size(h, F(8, 17)), simulate_team(make_context(h, lab.p), trace)
+
+    first = queries()
+    assert first[0] == 51 and sized
+    sized.clear()
+    assert queries() == first
+    assert sized == []
+
+
 def test_g_values(hier):
     c = make_context(hier, F(2, 3))
     assert g_function(c, F(0)) == 0
